@@ -295,7 +295,7 @@ BENCHMARK(BM_FlightRecorderEvent);
 
 // The live-latency record path: one bucket index (count-leading-zeros), two
 // relaxed fetch_adds, a CAS max and the epoch-slot mirror write. Every
-// FM_LATENCY_SCOPE exit pays this on top of the clock read.
+// FM_SPAN exit pays this on top of the clock read.
 void BM_HistogramRecord(benchmark::State& state) {
   LatencyRecorder& recorder = LatencyRegistry::Get("bench.record");
   int64_t v = 1;

@@ -171,13 +171,6 @@ void ThreadPool::ParallelFor(int64_t n,
   if (state->error) std::rethrow_exception(state->error);
 }
 
-void ThreadPool::TaskGroup::Wait() {
-  std::vector<std::function<void()>> tasks = std::move(tasks_);
-  tasks_.clear();
-  pool_->ParallelFor(static_cast<int64_t>(tasks.size()),
-                     [&tasks](int64_t i) { tasks[static_cast<size_t>(i)](); });
-}
-
 int EffectiveThreadCount() {
   static const int count = [] {
     if (const char* v = std::getenv("FAIRMOVE_THREADS")) {

@@ -41,8 +41,8 @@ struct PoolStats {
 class ThreadPool {
  public:
   /// A pool of total concurrency `num_threads >= 1`: `num_threads - 1`
-  /// workers are spawned and the thread inside ParallelFor()/Wait() acts as
-  /// the n-th lane. `num_threads == 1` spawns nothing and runs everything
+  /// workers are spawned and the thread inside ParallelFor() acts as the
+  /// n-th lane. `num_threads == 1` spawns nothing and runs everything
   /// inline on the caller.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
@@ -61,24 +61,6 @@ class ThreadPool {
   /// index and rethrows the exception of the lowest failing index, so which
   /// error surfaces is as thread-count-independent as every other output.
   void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn);
-
-  /// Heterogeneous companion to ParallelFor for a batch of unrelated tasks.
-  /// Spawn() only records the task; the batch starts at Wait(), which runs
-  /// the tasks across the pool (caller participating) and rethrows the
-  /// exception of the lowest-spawn-index failure. The group is empty and
-  /// reusable after Wait() returns.
-  class TaskGroup {
-   public:
-    explicit TaskGroup(ThreadPool* pool) : pool_(pool) {
-      FM_CHECK(pool != nullptr);
-    }
-    void Spawn(std::function<void()> fn) { tasks_.push_back(std::move(fn)); }
-    void Wait();
-
-   private:
-    ThreadPool* pool_;
-    std::vector<std::function<void()>> tasks_;
-  };
 
   /// Snapshot of this pool's health counters (observational only).
   PoolStats stats() const;

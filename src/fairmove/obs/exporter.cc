@@ -141,7 +141,6 @@ void MetricsExporter::Tick() {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
   LatencyRegistry::AdvanceAllEpochs();
   const std::vector<LatencyRecorder*> recorders = LatencyRegistry::All();
-  const MetricsRegistry::Snapshot snapshot = Metrics().GetSnapshot();
   const std::string now_utc = Iso8601UtcNow();
   const double period_s = static_cast<double>(options_.period_ms) / 1000.0;
 
@@ -217,25 +216,10 @@ void MetricsExporter::Tick() {
   prom.reserve(4096);
   prom += "# fairmove metrics export seq=" + std::to_string(seq) + " " +
           now_utc + "\n";
-  for (const auto& [name, value] : snapshot.counters) {
+  for (const auto& [name, value] : Metrics().Counters()) {
     const std::string metric = "fairmove_" + PrometheusName(name);
     prom += "# TYPE " + metric + " counter\n";
     AppendPromLine(&prom, metric, "", static_cast<double>(value));
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string metric = "fairmove_" + PrometheusName(name);
-    prom += "# TYPE " + metric + " gauge\n";
-    AppendPromLine(&prom, metric, "", value);
-  }
-  for (const auto& [name, data] : snapshot.histograms) {
-    const std::string metric = "fairmove_" + PrometheusName(name);
-    prom += "# TYPE " + metric + " summary\n";
-    AppendPromLine(&prom, metric, "{quantile=\"0.5\"}", data.Quantile(0.5));
-    AppendPromLine(&prom, metric, "{quantile=\"0.9\"}", data.Quantile(0.9));
-    AppendPromLine(&prom, metric, "{quantile=\"0.99\"}", data.Quantile(0.99));
-    AppendPromLine(&prom, metric + "_sum", "", data.sum);
-    AppendPromLine(&prom, metric + "_count", "",
-                   static_cast<double>(data.count));
   }
   for (const LatencyRow& row : rows) {
     const std::string metric =

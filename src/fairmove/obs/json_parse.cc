@@ -9,9 +9,7 @@ namespace {
 
 constexpr int kMaxDepth = 64;
 
-/// Single-pass recursive-descent parser over the input bytes. Mirrors the
-/// grammar of ValidateJson (jsonl.cc) exactly; any document one accepts the
-/// other does too, so the validator can stay the cheap fast path.
+/// Single-pass recursive-descent parser over the input bytes.
 class Parser {
  public:
   explicit Parser(const std::string& text) : text_(text) {}

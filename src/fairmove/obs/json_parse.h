@@ -9,12 +9,13 @@
 
 namespace fairmove {
 
-/// A parsed JSON value. jsonl.h deliberately ships only a validator — the
-/// telemetry writers never read their own output — but the perf-gate
-/// tooling must compare two BENCH_*.json documents field by field, which
-/// needs an actual DOM. The shape is the minimal tree for that job: every
-/// number is a double (the builders emit %.17g, which round-trips), object
-/// members keep document order, and there is no mutation API.
+/// A parsed JSON value. ParseJson is the repo's one JSON grammar: the
+/// artefact checks in jsonl.h (JsonObjectKeys, ValidateJsonlFile) and
+/// tools/obs_check are built on it, and the perf-gate tooling compares two
+/// BENCH_*.json documents field by field through it. The shape is the
+/// minimal tree for those jobs: every number is a double (the builders emit
+/// %.17g, which round-trips), object members keep document order, and there
+/// is no mutation API.
 struct JsonValue {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
 
@@ -44,11 +45,11 @@ struct JsonValue {
 };
 
 /// Parses exactly one JSON value (RFC 8259: objects, arrays, strings,
-/// numbers, true/false/null) with nothing but whitespace around it —
-/// the same grammar ValidateJson accepts, now materialised as a tree.
-/// Returns InvalidArgument with a byte offset on the first syntax error.
-/// Nesting deeper than 64 levels is rejected (the recursive parser must
-/// not let a hostile document overflow the stack).
+/// numbers, true/false/null) with nothing but whitespace around it.
+/// `ParseJson(text).ok()` is the validity check for any artefact. Returns
+/// InvalidArgument with a byte offset on the first syntax error. Nesting
+/// deeper than 64 levels is rejected (the recursive parser must not let a
+/// hostile document overflow the stack).
 StatusOr<JsonValue> ParseJson(const std::string& text);
 
 }  // namespace fairmove

@@ -1,10 +1,12 @@
 #include "fairmove/obs/jsonl.h"
 
-#include <cctype>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+
+#include "fairmove/obs/json_parse.h"
 
 namespace fairmove {
 
@@ -202,213 +204,12 @@ int64_t JsonlWriter::rows_written() const {
   return rows_;
 }
 
-namespace {
-
-/// Recursive-descent JSON syntax checker over `text`. Tracks top-level
-/// object keys when asked (keys != nullptr and depth-0 value is an object).
-class JsonScanner {
- public:
-  explicit JsonScanner(const std::string& text) : text_(text) {}
-
-  Status Scan(std::vector<std::string>* keys) {
-    SkipWs();
-    FM_RETURN_IF_ERROR(Value(/*depth=*/0, keys));
-    SkipWs();
-    if (pos_ != text_.size()) {
-      return Err("trailing characters after JSON value");
-    }
-    return Status::OK();
-  }
-
- private:
-  Status Err(const std::string& what) const {
-    return Status::InvalidArgument("JSON error at byte " +
-                                   std::to_string(pos_) + ": " + what);
-  }
-
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Eof() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  Status Literal(const char* word) {
-    const size_t len = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, len, word) != 0) {
-      return Err(std::string("expected '") + word + "'");
-    }
-    pos_ += len;
-    return Status::OK();
-  }
-
-  Status String(std::string* out) {
-    if (Eof() || Peek() != '"') return Err("expected string");
-    ++pos_;
-    while (!Eof()) {
-      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
-      if (c == '"') {
-        ++pos_;
-        return Status::OK();
-      }
-      if (c < 0x20) return Err("unescaped control character in string");
-      if (c == '\\') {
-        ++pos_;
-        if (Eof()) return Err("truncated escape");
-        const char e = text_[pos_];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (Eof() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
-              return Err("bad \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return Err("bad escape character");
-        }
-        ++pos_;
-        continue;
-      }
-      if (out != nullptr) out->push_back(static_cast<char>(c));
-      ++pos_;
-    }
-    return Err("unterminated string");
-  }
-
-  Status Number() {
-    const size_t start = pos_;
-    if (!Eof() && Peek() == '-') ++pos_;
-    if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return Err("malformed number");
-    }
-    if (Peek() == '0') {
-      ++pos_;
-    } else {
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    if (!Eof() && Peek() == '.') {
-      ++pos_;
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Err("malformed fraction");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    if (!Eof() && (Peek() == 'e' || Peek() == 'E')) {
-      ++pos_;
-      if (!Eof() && (Peek() == '+' || Peek() == '-')) ++pos_;
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Err("malformed exponent");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) ++pos_;
-    }
-    (void)start;
-    return Status::OK();
-  }
-
-  Status Value(int depth, std::vector<std::string>* keys) {
-    if (depth > 64) return Err("nesting too deep");
-    if (Eof()) return Err("unexpected end of input");
-    switch (Peek()) {
-      case '{':
-        return Object(depth, keys);
-      case '[':
-        return Array(depth);
-      case '"':
-        return String(nullptr);
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  Status Object(int depth, std::vector<std::string>* keys) {
-    ++pos_;  // '{'
-    SkipWs();
-    if (!Eof() && Peek() == '}') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      SkipWs();
-      std::string key;
-      FM_RETURN_IF_ERROR(String(depth == 0 && keys != nullptr ? &key
-                                                              : nullptr));
-      if (depth == 0 && keys != nullptr) keys->push_back(std::move(key));
-      SkipWs();
-      if (Eof() || Peek() != ':') return Err("expected ':' in object");
-      ++pos_;
-      SkipWs();
-      FM_RETURN_IF_ERROR(Value(depth + 1, nullptr));
-      SkipWs();
-      if (Eof()) return Err("unterminated object");
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == '}') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Err("expected ',' or '}' in object");
-    }
-  }
-
-  Status Array(int depth) {
-    ++pos_;  // '['
-    SkipWs();
-    if (!Eof() && Peek() == ']') {
-      ++pos_;
-      return Status::OK();
-    }
-    for (;;) {
-      SkipWs();
-      FM_RETURN_IF_ERROR(Value(depth + 1, nullptr));
-      SkipWs();
-      if (Eof()) return Err("unterminated array");
-      if (Peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (Peek() == ']') {
-        ++pos_;
-        return Status::OK();
-      }
-      return Err("expected ',' or ']' in array");
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-Status ValidateJson(const std::string& text) {
-  return JsonScanner(text).Scan(nullptr);
-}
-
 StatusOr<std::vector<std::string>> JsonObjectKeys(const std::string& text) {
+  FM_ASSIGN_OR_RETURN(const JsonValue doc, ParseJson(text));
+  if (!doc.is_object()) return Status::InvalidArgument("not a JSON object");
   std::vector<std::string> keys;
-  FM_RETURN_IF_ERROR(JsonScanner(text).Scan(&keys));
-  // An empty key list is also what a non-object value produces; reject
-  // non-objects explicitly so callers get a clear error.
-  size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
-  }
-  if (i >= text.size() || text[i] != '{') {
-    return Status::InvalidArgument("not a JSON object");
-  }
+  keys.reserve(doc.members.size());
+  for (const auto& [key, value] : doc.members) keys.push_back(key);
   return keys;
 }
 
@@ -428,14 +229,8 @@ StatusOr<int64_t> ValidateJsonlFile(
                                      ": " + keys_or.status().message());
     }
     for (const std::string& want : required_keys) {
-      bool found = false;
-      for (const std::string& key : *keys_or) {
-        if (key == want) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
+      if (std::find(keys_or->begin(), keys_or->end(), want) ==
+          keys_or->end()) {
         return Status::InvalidArgument(path + ":" + std::to_string(lineno) +
                                        ": missing required key '" + want +
                                        "'");

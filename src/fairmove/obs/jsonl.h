@@ -102,16 +102,8 @@ class JsonlWriter {
   int64_t rows_ = 0;
 };
 
-/// Validates that `text` is exactly one well-formed JSON value (RFC 8259
-/// syntax: objects, arrays, strings, numbers, true/false/null) with nothing
-/// but whitespace around it. Returns InvalidArgument with a byte offset on
-/// the first syntax error. This is a validator, not a parser — the
-/// observability layer only ever needs "does this parse" plus top-level
-/// keys, so there is no DOM to build or free.
-Status ValidateJson(const std::string& text);
-
-/// Validates `text` as a JSON object and returns its top-level keys in
-/// document order.
+/// Parses `text` with ParseJson (json_parse.h), requires a JSON object and
+/// returns its top-level keys, unescaped, in document order.
 StatusOr<std::vector<std::string>> JsonObjectKeys(const std::string& text);
 
 /// Validates every line of a JSONL file as a JSON object containing at

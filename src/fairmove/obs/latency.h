@@ -2,7 +2,6 @@
 #define FAIRMOVE_OBS_LATENCY_H_
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -106,7 +105,8 @@ class LatencyRecorder {
 
 /// Process-wide name → LatencyRecorder table. Get() interns on first use
 /// (mutex) and is meant to be called once per site through a function-local
-/// static reference; the per-sample path is LatencyRecorder::Record alone.
+/// static — FM_SPAN (obs/span.h) does exactly that for every span name —
+/// so the per-sample path is LatencyRecorder::Record alone.
 class LatencyRegistry {
  public:
   static LatencyRecorder& Get(const std::string& name);
@@ -117,35 +117,6 @@ class LatencyRegistry {
   /// Clears every recorder's data (tests; not thread-safe vs writers).
   static void ResetForTesting();
 };
-
-/// RAII nanosecond timer feeding one recorder:
-///   static LatencyRecorder& rec = LatencyRegistry::Get("sim.step");
-///   LatencyTimer timer(rec);
-class LatencyTimer {
- public:
-  explicit LatencyTimer(LatencyRecorder& recorder)
-      : recorder_(recorder), start_(std::chrono::steady_clock::now()) {}
-  ~LatencyTimer() {
-    recorder_.Record(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count());
-  }
-  LatencyTimer(const LatencyTimer&) = delete;
-  LatencyTimer& operator=(const LatencyTimer&) = delete;
-
- private:
-  LatencyRecorder& recorder_;
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// Times the enclosing scope into the site-named latency recorder.
-#define FM_LATENCY_CONCAT_INNER(a, b) a##b
-#define FM_LATENCY_CONCAT(a, b) FM_LATENCY_CONCAT_INNER(a, b)
-#define FM_LATENCY_SCOPE(name)                                       \
-  static ::fairmove::LatencyRecorder& FM_LATENCY_CONCAT(             \
-      fm_lat_rec_, __LINE__) = ::fairmove::LatencyRegistry::Get(name); \
-  ::fairmove::LatencyTimer FM_LATENCY_CONCAT(fm_lat_timer_, __LINE__)( \
-      FM_LATENCY_CONCAT(fm_lat_rec_, __LINE__))
 
 }  // namespace fairmove
 

@@ -1,369 +1,32 @@
 #include "fairmove/obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "fairmove/obs/jsonl.h"
 
 namespace fairmove {
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  FM_CHECK(q > 0.0 && q < 1.0) << "P2Quantile wants q in (0, 1), got " << q;
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = 0.0;
-    positions_[i] = i + 1;
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q;
-  desired_[2] = 1.0 + 4.0 * q;
-  desired_[3] = 3.0 + 2.0 * q;
-  desired_[4] = 5.0;
-  increments_[0] = 0.0;
-  increments_[1] = q / 2.0;
-  increments_[2] = q;
-  increments_[3] = (1.0 + q) / 2.0;
-  increments_[4] = 1.0;
-}
-
-void P2Quantile::Add(double x) {
-  if (!std::isfinite(x)) {
-    ++non_finite_count_;
-    return;
-  }
-  if (count_ < 5) {
-    heights_[count_] = x;
-    ++count_;
-    if (count_ == 5) std::sort(heights_, heights_ + 5);
-    return;
-  }
-  // Find the cell k of x and clamp the extremes.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) positions_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += increments_[i];
-  ++count_;
-  // Adjust the three interior markers toward their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - positions_[i];
-    const double right_gap = positions_[i + 1] - positions_[i];
-    const double left_gap = positions_[i - 1] - positions_[i];
-    if ((d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0)) {
-      const double sign = d >= 1.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic (P²) height prediction.
-      const double qp =
-          heights_[i] +
-          sign / (positions_[i + 1] - positions_[i - 1]) *
-              ((positions_[i] - positions_[i - 1] + sign) *
-                   (heights_[i + 1] - heights_[i]) /
-                   (positions_[i + 1] - positions_[i]) +
-               (positions_[i + 1] - positions_[i] - sign) *
-                   (heights_[i] - heights_[i - 1]) /
-                   (positions_[i] - positions_[i - 1]));
-      if (heights_[i - 1] < qp && qp < heights_[i + 1]) {
-        heights_[i] = qp;
-      } else {
-        // Fall back to linear prediction toward the neighbour.
-        const int j = i + static_cast<int>(sign);
-        heights_[i] += sign * (heights_[j] - heights_[i]) /
-                       (positions_[j] - positions_[i]);
-      }
-      positions_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::Get() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact small-sample quantile (nearest-rank on the sorted prefix).
-    const int n = static_cast<int>(count_);
-    double sorted[5];
-    for (int i = 0; i < n; ++i) {
-      const double v = heights_[i];
-      int j = i;
-      while (j > 0 && sorted[j - 1] > v) {
-        sorted[j] = sorted[j - 1];
-        --j;
-      }
-      sorted[j] = v;
-    }
-    const int idx =
-        std::min(n - 1, static_cast<int>(q_ * static_cast<double>(n)));
-    return sorted[idx];
-  }
-  return heights_[2];
-}
-
-void HistogramData::Init(double lo_bound, double hi_bound, int num_buckets) {
-  FM_CHECK(hi_bound > lo_bound && num_buckets > 0)
-      << "bad histogram layout [" << lo_bound << ", " << hi_bound << ") x "
-      << num_buckets;
-  lo = lo_bound;
-  hi = hi_bound;
-  log_scale = false;
-  buckets.assign(static_cast<size_t>(num_buckets), 0);
-}
-
-void HistogramData::InitLog(double lo_bound, double hi_bound,
-                            int num_buckets) {
-  FM_CHECK(lo_bound > 0.0 && hi_bound > lo_bound && num_buckets > 0)
-      << "bad log histogram layout [" << lo_bound << ", " << hi_bound
-      << ") x " << num_buckets << " (log scale needs 0 < lo < hi)";
-  lo = lo_bound;
-  hi = hi_bound;
-  log_scale = true;
-  buckets.assign(static_cast<size_t>(num_buckets), 0);
-}
-
-void HistogramData::Observe(double value) {
-  if (!std::isfinite(value)) {
-    // NaN/inf land in no bucket (the cast below would be UB) and leave
-    // count/sum/min/max untouched; the defect is visible, not poisoning.
-    ++non_finite_count;
-    return;
-  }
-  if (buckets.empty()) Init(lo, hi, 50);
-  const int nb = static_cast<int>(buckets.size());
-  int index;
-  if (log_scale) {
-    index = value <= lo ? 0
-                        : static_cast<int>(std::log(value / lo) /
-                                           std::log(hi / lo) *
-                                           static_cast<double>(nb));
-  } else {
-    index = static_cast<int>((value - lo) / (hi - lo) *
-                             static_cast<double>(nb));
-  }
-  if (value >= hi) ++saturated_count;  // clamped into the top bucket
-  index = std::clamp(index, 0, nb - 1);  // clamp out-of-range to end buckets
-  buckets[static_cast<size_t>(index)] += 1;
-  if (count == 0) {
-    min = max = value;
-  } else {
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  count += 1;
-  sum += value;
-}
-
-void HistogramData::Merge(const HistogramData& other) {
-  if (other.count == 0 && other.non_finite_count == 0) return;
-  if (buckets.empty()) {
-    if (other.log_scale) {
-      InitLog(other.lo, other.hi, static_cast<int>(other.buckets.size()));
-    } else {
-      Init(other.lo, other.hi, static_cast<int>(other.buckets.size()));
-    }
-  }
-  FM_CHECK(buckets.size() == other.buckets.size() && lo == other.lo &&
-           hi == other.hi && log_scale == other.log_scale)
-      << "merging histograms with different bucket layouts";
-  for (size_t i = 0; i < buckets.size(); ++i) buckets[i] += other.buckets[i];
-  if (other.count > 0) {
-    if (count == 0) {
-      min = other.min;
-      max = other.max;
-    } else {
-      min = std::min(min, other.min);
-      max = std::max(max, other.max);
-    }
-  }
-  count += other.count;
-  sum += other.sum;
-  saturated_count += other.saturated_count;
-  non_finite_count += other.non_finite_count;
-}
-
-double HistogramData::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double rank = q * static_cast<double>(count);
-  const double nb = static_cast<double>(buckets.size());
-  const double width = (hi - lo) / nb;
-  int64_t seen = 0;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const int64_t in_bucket = buckets[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= rank) {
-      const double frac =
-          (rank - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      double value;
-      if (log_scale) {
-        const double ratio = hi / lo;
-        const double edge_lo = lo * std::pow(ratio, static_cast<double>(i) / nb);
-        const double edge_hi =
-            lo * std::pow(ratio, static_cast<double>(i + 1) / nb);
-        value = edge_lo + frac * (edge_hi - edge_lo);
-      } else {
-        value = lo + (static_cast<double>(i) + frac) * width;
-      }
-      return std::clamp(value, min, max);
-    }
-    seen += in_bucket;
-  }
-  return max;
-}
-
-void MetricShard::Count(const std::string& name, int64_t delta) {
-  counters_[name] += delta;
-}
-
-void MetricShard::Observe(const std::string& name, double value) {
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    HistogramData data;
-    int nb = 0;
-    bool log_scale = false;
-    registry_->HistogramLayout(name, &data.lo, &data.hi, &nb, &log_scale);
-    if (log_scale) {
-      data.InitLog(data.lo, data.hi, nb);
-    } else {
-      data.Init(data.lo, data.hi, nb);
-    }
-    it = histograms_.emplace(name, std::move(data)).first;
-  }
-  it->second.Observe(value);
-}
 
 void MetricsRegistry::Count(const std::string& name, int64_t delta) {
   std::lock_guard<std::mutex> lock(mu_);
   counters_[name] += delta;
 }
 
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
+std::map<std::string, int64_t> MetricsRegistry::Counters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  gauges_[name] = value;
-}
-
-void MetricsRegistry::RegisterHistogram(const std::string& name, double lo,
-                                        double hi, int num_buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    FM_CHECK(it->second.lo == lo && it->second.hi == hi &&
-             !it->second.log_scale &&
-             static_cast<int>(it->second.buckets.size()) == num_buckets)
-        << "histogram '" << name << "' re-registered with different layout";
-    return;
-  }
-  HistogramData data;
-  data.Init(lo, hi, num_buckets);
-  histograms_.emplace(name, std::move(data));
-}
-
-void MetricsRegistry::RegisterLogHistogram(const std::string& name, double lo,
-                                           double hi, int num_buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    FM_CHECK(it->second.lo == lo && it->second.hi == hi &&
-             it->second.log_scale &&
-             static_cast<int>(it->second.buckets.size()) == num_buckets)
-        << "histogram '" << name << "' re-registered with different layout";
-    return;
-  }
-  HistogramData data;
-  data.InitLog(lo, hi, num_buckets);
-  histograms_.emplace(name, std::move(data));
-}
-
-void MetricsRegistry::HistogramLayout(const std::string& name, double* lo,
-                                      double* hi, int* num_buckets,
-                                      bool* log_scale) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    *lo = it->second.lo;
-    *hi = it->second.hi;
-    *num_buckets = static_cast<int>(it->second.buckets.size());
-    *log_scale = it->second.log_scale;
-    return;
-  }
-  *lo = 0.0;
-  *hi = 1000.0;
-  *num_buckets = 50;
-  *log_scale = false;
-}
-
-void MetricsRegistry::Observe(const std::string& name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    HistogramData data;
-    data.Init(0.0, 1000.0, 50);
-    it = histograms_.emplace(name, std::move(data)).first;
-  }
-  it->second.Observe(value);
-}
-
-void MetricsRegistry::MergeShard(const MetricShard& shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, delta] : shard.counters_) counters_[name] += delta;
-  for (const auto& [name, data] : shard.histograms_) {
-    histograms_[name].Merge(data);
-  }
-}
-
-MetricsRegistry::Snapshot MetricsRegistry::GetSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Snapshot snapshot;
-  snapshot.counters = counters_;
-  snapshot.gauges = gauges_;
-  snapshot.histograms = histograms_;
-  return snapshot;
+  return counters_;
 }
 
 std::string MetricsRegistry::ToJson() const {
-  const Snapshot snapshot = GetSnapshot();
   JsonObject counters;
-  for (const auto& [name, value] : snapshot.counters) {
-    counters.Set(name, value);
-  }
-  JsonObject gauges;
-  for (const auto& [name, value] : snapshot.gauges) gauges.Set(name, value);
-  JsonObject histograms;
-  for (const auto& [name, data] : snapshot.histograms) {
-    JsonObject h;
-    h.Set("count", data.count)
-        .Set("sum", data.sum)
-        .Set("min", data.count > 0 ? data.min : 0.0)
-        .Set("max", data.count > 0 ? data.max : 0.0)
-        .Set("mean", data.mean())
-        .Set("p50", data.Quantile(0.5))
-        .Set("p90", data.Quantile(0.9))
-        .Set("p99", data.Quantile(0.99))
-        .Set("lo", data.lo)
-        .Set("hi", data.hi)
-        .Set("log_scale", data.log_scale)
-        .Set("saturated_count", data.saturated_count)
-        .Set("non_finite_count", data.non_finite_count);
-    JsonArray counts;
-    for (int64_t c : data.buckets) counts.Push(c);
-    h.SetRaw("buckets", counts.Str());
-    histograms.SetRaw(name, h.Str());
-  }
+  for (const auto& [name, value] : Counters()) counters.Set(name, value);
   JsonObject root;
   root.SetRaw("counters", counters.Str())
-      .SetRaw("gauges", gauges.Str())
-      .SetRaw("histograms", histograms.Str());
+      .SetRaw("gauges", "{}")
+      .SetRaw("histograms", "{}");
   return root.Str();
 }
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
 }
 
 MetricsRegistry& Metrics() {

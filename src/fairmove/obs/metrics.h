@@ -5,165 +5,36 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
-
-#include "fairmove/common/status.h"
 
 namespace fairmove {
 
-/// P² streaming quantile estimator (Jain & Chlamtáč 1985): tracks one
-/// quantile of an unbounded stream in O(1) memory by maintaining five
-/// markers whose heights are adjusted with a piecewise-parabolic fit.
-/// Exact until five observations have arrived. Deterministic for a fixed
-/// insertion order, which is why sharded histogram merging does NOT use it
-/// (merging two P² states is order-dependent); it serves the serial
-/// analysis paths and the checker tooling.
-class P2Quantile {
- public:
-  /// `q` in (0, 1), e.g. 0.5 for the median.
-  explicit P2Quantile(double q);
-
-  /// Non-finite samples (NaN, ±inf) are counted into non_finite_count()
-  /// and otherwise ignored — they would poison the marker heights and
-  /// every later estimate (mirrors the Histogram NaN rule, DESIGN.md §10).
-  void Add(double x);
-  /// Current estimate; 0 before the first observation.
-  double Get() const;
-  int64_t count() const { return count_; }
-  int64_t non_finite_count() const { return non_finite_count_; }
-
- private:
-  double q_;
-  int64_t count_ = 0;
-  int64_t non_finite_count_ = 0;
-  double heights_[5];
-  double positions_[5];
-  double desired_[5];
-  double increments_[5];
-};
-
-/// Merged state of one histogram metric: fixed buckets over [lo, hi) —
-/// linear by default, geometric when `log_scale` — with end-bucket
-/// clamping, plus exact count/sum/min/max. Quantiles are interpolated from
-/// the buckets (deterministic under any merge order of the integer bucket
-/// counts; the double `sum` is merged in ascending shard index order by the
-/// registry to keep it bit-stable too).
+/// Process-wide registry of named event counters.
 ///
-/// Two defect counters make silent data loss visible: `saturated_count`
-/// (observations at or above `hi`, clamped into the top bucket — a
-/// saturating layout must be widened or made log-scale) and
-/// `non_finite_count` (NaN/±inf observations, which land in no bucket and
-/// do not touch count/sum/min/max; bucketing a NaN is meaningless and the
-/// float→int cast would be UB).
-struct HistogramData {
-  double lo = 0.0;
-  double hi = 1000.0;
-  bool log_scale = false;
-  std::vector<int64_t> buckets;  // sized at registration
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;  // valid when count > 0
-  double max = 0.0;
-  int64_t saturated_count = 0;
-  int64_t non_finite_count = 0;
-
-  void Init(double lo_bound, double hi_bound, int num_buckets);
-  /// Geometric buckets: bucket i spans [lo*r^i, lo*r^(i+1)) with
-  /// r = (hi/lo)^(1/num_buckets). Requires 0 < lo < hi — the layout for
-  /// quantities spanning decades (ns→s latencies) where a linear layout
-  /// would dump everything into one or two buckets.
-  void InitLog(double lo_bound, double hi_bound, int num_buckets);
-  void Observe(double value);
-  void Merge(const HistogramData& other);
-  double mean() const { return count > 0 ? sum / count : 0.0; }
-  /// Interpolation inside the bucket holding the q-th observation (q in
-  /// [0, 1]; linear in the bucket's value range, so geometric layouts
-  /// interpolate between geometric edges), clamped to [min, max]. 0 when
-  /// empty.
-  double Quantile(double q) const;
-};
-
-class MetricsRegistry;
-
-/// Thread-confined accumulator for one parallel task. Mirrors the
-/// `common/parallel` determinism contract: each task of a parallel region
-/// writes to its own shard (task-index-addressed, no sharing), and the
-/// calling thread merges the shards in ascending task index after the
-/// region completes, so the registry contents are byte-identical at any
-/// thread count. Histogram bucket bounds are inherited from the owning
-/// registry at first touch.
-class MetricShard {
- public:
-  /// Created via MetricsRegistry::MakeShard().
-  void Count(const std::string& name, int64_t delta = 1);
-  void Observe(const std::string& name, double value);
-
- private:
-  friend class MetricsRegistry;
-  explicit MetricShard(const MetricsRegistry* registry)
-      : registry_(registry) {}
-
-  const MetricsRegistry* registry_;
-  std::map<std::string, int64_t> counters_;
-  std::map<std::string, HistogramData> histograms_;
-};
-
-/// Process-wide registry of counters, gauges and histograms.
-///
-/// Direct calls (Count/SetGauge/Observe) take an internal mutex and may be
-/// issued from any thread — use them for rare events (fault applications,
-/// divergence rollbacks). Inside parallel regions use MakeShard() per task
-/// and MergeShard() in ascending task order on the calling thread; shard
-/// updates are lock-free and the ordered merge keeps double accumulation
-/// deterministic.
+/// Count() takes an internal mutex and may be issued from any thread — the
+/// callers are rare events (fault applications, divergence rollbacks,
+/// checkpoint rejects, stalls). Integer sums do not depend on the order of
+/// the increments, so the registry contents are the same at any thread
+/// count. Durations go to the latency recorders (obs/latency.h) instead.
 ///
 /// Everything here is observational: no RNG, no effect on simulation state.
 class MetricsRegistry {
  public:
   void Count(const std::string& name, int64_t delta = 1);
-  void SetGauge(const std::string& name, double value);
-  void Observe(const std::string& name, double value);
 
-  /// Fixes the bucket layout of histogram `name`. First registration wins;
-  /// re-registering with identical bounds is a no-op, with different bounds
-  /// a programmer error (FM_CHECK). Observe() on an unregistered name
-  /// auto-registers [0, 1000) x 50.
-  void RegisterHistogram(const std::string& name, double lo, double hi,
-                         int num_buckets);
+  /// Name-sorted copy of every counter.
+  std::map<std::string, int64_t> Counters() const;
 
-  /// Log-scale variant (HistogramData::InitLog). FM_CHECKs 0 < lo < hi so a
-  /// latency metric spanning ns→s cannot be registered with a layout that
-  /// silently saturates; out-of-range observations still show up in the
-  /// data as `saturated_count`.
-  void RegisterLogHistogram(const std::string& name, double lo, double hi,
-                            int num_buckets);
-
-  MetricShard MakeShard() const { return MetricShard(this); }
-  void MergeShard(const MetricShard& shard);
-
-  struct Snapshot {
-    std::map<std::string, int64_t> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, HistogramData> histograms;
-  };
-  Snapshot GetSnapshot() const;
-
-  /// Deterministic (name-sorted) JSON rendering of the snapshot.
+  /// `{"counters":{...},"gauges":{},"histograms":{}}` with counters
+  /// name-sorted. The empty gauge and histogram objects are part of the
+  /// metrics.json / export.json schema that obs_check requires.
   std::string ToJson() const;
 
-  /// Drops every metric (tests).
+  /// Drops every counter (tests).
   void Reset();
 
  private:
-  friend class MetricShard;
-  /// Bucket layout for `name` (registered or default); used by shards.
-  void HistogramLayout(const std::string& name, double* lo, double* hi,
-                       int* num_buckets, bool* log_scale) const;
-
   mutable std::mutex mu_;
   std::map<std::string, int64_t> counters_;
-  std::map<std::string, double> gauges_;
-  std::map<std::string, HistogramData> histograms_;
 };
 
 /// The process-wide registry every instrumented layer reports into.

@@ -10,7 +10,9 @@
 #include <mutex>
 #include <vector>
 
+#include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/latency.h"
 
 namespace fairmove {
 
@@ -160,40 +162,40 @@ void Profiler::Reset() {
   }
 }
 
-ScopedSpan::ScopedSpan(const char* name) {
-  if (!Profiler::enabled()) return;
-  ThreadSpans& spans = LocalSpans();
-  parent_ = spans.current;
-  auto& slot = parent_->children[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<SpanNode>();
-    slot->name = name;
-  }
-  node_ = slot.get();
-  spans.current = node_;
-  start_ = std::chrono::steady_clock::now();
-}
+SpanSite::SpanSite(const char* site_name)
+    : name(site_name),
+      flight_name_id(FlightRecorder::InternName(site_name)),
+      latency(LatencyRegistry::Get(site_name)) {}
 
-ScopedSpan::ScopedSpan(const char* name, uint16_t flight_name_id)
-    : ScopedSpan(name) {
+ScopedSpan::ScopedSpan(const SpanSite& site) : site_(site) {
+  if (Profiler::enabled()) {
+    ThreadSpans& spans = LocalSpans();
+    parent_ = spans.current;
+    auto& slot = parent_->children[site.name];
+    if (slot == nullptr) {
+      slot = std::make_unique<SpanNode>();
+      slot->name = site.name;
+    }
+    node_ = slot.get();
+    spans.current = node_;
+  }
   // The enabled() result is latched so the end event is only recorded when
   // the begin event was (toggling mid-span cannot unbalance the ring).
   if (FlightRecorder::enabled()) {
-    flight_name_id_ = flight_name_id;
     flight_ = true;
-    FlightRecorder::Record(kFlightSpanBegin, flight_name_id);
+    FlightRecorder::Record(kFlightSpanBegin, site.flight_name_id);
   }
+  start_ = std::chrono::steady_clock::now();
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (flight_) {
-    FlightRecorder::Record(kFlightSpanEnd, flight_name_id_);
-  }
-  if (node_ == nullptr) return;
   const int64_t elapsed_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start_)
           .count();
+  site_.latency.Record(elapsed_ns);
+  if (flight_) FlightRecorder::Record(kFlightSpanEnd, site_.flight_name_id);
+  if (node_ == nullptr) return;
   node_->count += 1;
   node_->total_ns += elapsed_ns;
   node_->max_ns = std::max(node_->max_ns, elapsed_ns);

@@ -5,23 +5,21 @@
 #include <cstdint>
 #include <string>
 
-#include "fairmove/obs/flight_recorder.h"
-
 namespace fairmove {
 
+class LatencyRecorder;
 struct SpanNode;
 
 /// Wall-clock profiler built from scoped spans. Each thread owns a private
-/// span tree (nodes keyed by span name, nested by dynamic scope), so taking
-/// a span costs two steady_clock reads and a map lookup with no
-/// synchronisation. Report time merges every thread's tree by name path and
-/// renders the aggregate with per-span count / total / max.
+/// span tree (nodes keyed by span name, nested by dynamic scope), so adding
+/// a span to the tree costs a map lookup with no synchronisation. Report
+/// time merges every thread's tree by name path and renders the aggregate
+/// with per-span count / total / max.
 ///
-/// Disabled (the default) a span is a single relaxed atomic load; enable
-/// with FAIRMOVE_PROFILE=1 or SetEnabled(true). Reports are meant for run
-/// end — after parallel regions have completed, the pool's completion
-/// acquire/release gives the reporting thread a consistent view of worker
-/// trees.
+/// The tree is off by default; enable with FAIRMOVE_PROFILE=1 or
+/// SetEnabled(true). Reports are meant for run end — after parallel regions
+/// have completed, the pool's completion acquire/release gives the
+/// reporting thread a consistent view of worker trees.
 class Profiler {
  public:
   static bool enabled();
@@ -38,39 +36,51 @@ class Profiler {
   static void Reset();
 };
 
+/// What one FM_SPAN site resolves once, into a function-local static: its
+/// name, the flight-recorder id interned for it and the latency recorder
+/// of the same name.
+struct SpanSite {
+  explicit SpanSite(const char* site_name);
+
+  const char* name;
+  uint16_t flight_name_id;
+  LatencyRecorder& latency;
+};
+
 /// RAII timer for one dynamic scope. Use through FM_SPAN below.
 ///
-/// The two-arg form (what FM_SPAN expands to) additionally records
-/// begin/end events into the always-on flight recorder under a
-/// site-interned name id, so the last moments before a crash or stall show
-/// the span structure even when the profiler is off.
+/// Every span records its duration into the site's latency recorder,
+/// whatever FAIRMOVE_PROFILE and FAIRMOVE_FLIGHT say. While the profiler is
+/// enabled it also nests into the span tree, and while the flight recorder
+/// is enabled it records begin/end events, so the last moments before a
+/// crash or stall show the span structure.
 class ScopedSpan {
  public:
-  explicit ScopedSpan(const char* name);
-  ScopedSpan(const char* name, uint16_t flight_name_id);
+  explicit ScopedSpan(const SpanSite& site);
   ~ScopedSpan();
 
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
  private:
+  const SpanSite& site_;
   SpanNode* node_ = nullptr;
   SpanNode* parent_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
-  uint16_t flight_name_id_ = 0;
   bool flight_ = false;
+  std::chrono::steady_clock::time_point start_;
 };
 
 #define FM_SPAN_CONCAT_INNER(a, b) a##b
 #define FM_SPAN_CONCAT(a, b) FM_SPAN_CONCAT_INNER(a, b)
-/// Times the enclosing scope under `name` in the profiler's span tree and
-/// records its begin/end in the flight recorder. `name` must be a
-/// persistent string (in practice a literal) — it is interned once.
-#define FM_SPAN(name)                                              \
-  static const uint16_t FM_SPAN_CONCAT(fm_span_id_, __LINE__) =    \
-      ::fairmove::FlightRecorder::InternName(name);                \
-  ::fairmove::ScopedSpan FM_SPAN_CONCAT(fm_span_, __LINE__)(       \
-      name, FM_SPAN_CONCAT(fm_span_id_, __LINE__))
+/// Times the enclosing scope under `name`: a sample in the latency recorder
+/// `name`, plus the profiler's span tree and the flight recorder when they
+/// are on. `name` must be a persistent string (in practice a literal) — it
+/// is resolved once per site.
+#define FM_SPAN(name)                                                   \
+  static const ::fairmove::SpanSite FM_SPAN_CONCAT(fm_span_site_,       \
+                                                   __LINE__)(name);     \
+  ::fairmove::ScopedSpan FM_SPAN_CONCAT(fm_span_, __LINE__)(            \
+      FM_SPAN_CONCAT(fm_span_site_, __LINE__))
 
 }  // namespace fairmove
 

@@ -11,8 +11,8 @@
 #include "fairmove/io/binary.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/jsonl.h"
-#include "fairmove/obs/latency.h"
 #include "fairmove/obs/metrics.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/obs/telemetry.h"
 
 namespace fairmove {
@@ -162,7 +162,7 @@ std::string CheckpointStore::LatestPath() const {
 
 Status CheckpointStore::Write(const CheckpointMeta& meta,
                               std::string_view payload) {
-  FM_LATENCY_SCOPE("checkpoint.write");
+  FM_SPAN("checkpoint.write");
   FM_FLIGHT_EVENT("checkpoint.write", meta.episode,
                   static_cast<int64_t>(payload.size()));
   const std::string framed = FrameCheckpoint(meta, payload);

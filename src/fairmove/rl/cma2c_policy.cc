@@ -10,7 +10,7 @@
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
 #include "fairmove/obs/jsonl.h"
-#include "fairmove/obs/latency.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/rl/replay_buffer.h"
 #include "fairmove/sim/simulator.h"
 
@@ -84,7 +84,7 @@ Cma2cPolicy::Cma2cPolicy(const Simulator& sim, Options options)
 void Cma2cPolicy::DecideActions(const Simulator& sim,
                                 const std::vector<TaxiObs>& vacant,
                                 std::vector<Action>* actions) {
-  FM_LATENCY_SCOPE("rl.decide_actions");
+  FM_SPAN("rl.decide_actions");
   (void)sim;  // state is read through the cached pointers
   actions->clear();
   actions->reserve(vacant.size());

@@ -4,7 +4,6 @@
 #include "fairmove/common/stats.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/jsonl.h"
-#include "fairmove/obs/latency.h"
 #include "fairmove/obs/metrics.h"
 #include "fairmove/obs/span.h"
 #include "fairmove/obs/telemetry.h"
@@ -278,7 +277,6 @@ void Simulator::Reset(uint64_t seed_override) {
 
 void Simulator::Step(DisplacementPolicy* policy) {
   FM_SPAN("sim.step");
-  FM_LATENCY_SCOPE("sim.step");
   StallWatchdog::Heartbeat();
   std::fill(slot_profit_.begin(), slot_profit_.end(), 0.0);
   decisions_.clear();
@@ -808,7 +806,6 @@ void Simulator::SpawnShard(int shard) {
 // --- Matching --------------------------------------------------------------
 
 void Simulator::MatchPassengers() {
-  FM_LATENCY_SCOPE("sim.match");
   // All matching scratch lives in the step arena: CSR candidate arrays
   // instead of a vector-of-vectors, so the per-slot inner loop performs
   // zero heap allocations once the arena is warm. The serial pass lays the
@@ -1092,7 +1089,6 @@ void Simulator::BeginServing(TaxiId taxi, const Request& request, Rng& rng,
 // --- Displacement ----------------------------------------------------------
 
 void Simulator::DecideAndApply(DisplacementPolicy* policy) {
-  FM_LATENCY_SCOPE("sim.decide");
   // Supply snapshot for the policy's global view. Serial: policies are
   // stateful black boxes, and the phase is a single dense column scan plus
   // whatever the policy does.

@@ -28,6 +28,7 @@
 #include "fairmove/obs/json_parse.h"
 #include "fairmove/obs/jsonl.h"
 #include "fairmove/obs/latency.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/obs/telemetry.h"
 #include "fairmove/obs/trace.h"
 #include "fairmove/obs/watchdog.h"
@@ -261,8 +262,16 @@ TEST(LatencyRegistryTest, GetInternsOneRecorderPerName) {
     if (recorder == &a) found = true;
   }
   EXPECT_TRUE(found);
-  { FM_LATENCY_SCOPE("registry.scoped"); }
-  EXPECT_GE(LatencyRegistry::Get("registry.scoped").Cumulative().count, 1);
+  // FM_SPAN feeds the recorder of its name whatever the profiler and the
+  // flight recorder say: exactly one sample per span exit.
+  Profiler::SetEnabled(false);
+  FlightRecorder::SetEnabled(false);
+  const int64_t before =
+      LatencyRegistry::Get("registry.scoped").Cumulative().count;
+  { FM_SPAN("registry.scoped"); }
+  FlightRecorder::SetEnabled(true);
+  EXPECT_EQ(LatencyRegistry::Get("registry.scoped").Cumulative().count,
+            before + 1);
 }
 
 // ------------------------------------------------------------- exporter ---

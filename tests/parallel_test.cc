@@ -98,21 +98,6 @@ TEST(ThreadPoolTest, ExceptionRegionStillAccountsEveryIndex) {
   EXPECT_EQ(ran.load(), 64);  // no index abandoned mid-region
 }
 
-TEST(ThreadPoolTest, TaskGroupRunsAllTasksAndIsReusable) {
-  ThreadPool pool(3);
-  ThreadPool::TaskGroup group(&pool);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 10; ++i) group.Spawn([&sum, i] { sum.fetch_add(i); });
-  group.Wait();
-  EXPECT_EQ(sum.load(), 55);
-  // A drained group accepts a fresh batch.
-  group.Spawn([&sum] { sum.fetch_add(100); });
-  group.Wait();
-  EXPECT_EQ(sum.load(), 155);
-  group.Wait();  // empty Wait is a no-op
-  EXPECT_EQ(sum.load(), 155);
-}
-
 TEST(ThreadPoolTest, SetGlobalThreadsSwapsThePool) {
   const int before = GlobalPool().num_threads();
   SetGlobalThreads(3);

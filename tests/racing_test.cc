@@ -468,9 +468,8 @@ TEST(RacingJsonTest, WritesWellFormedV1Document) {
   std::ifstream in(path);
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  ASSERT_TRUE(ValidateJson(text).ok());
   auto keys_or = JsonObjectKeys(text);
-  ASSERT_TRUE(keys_or.ok());
+  ASSERT_TRUE(keys_or.ok()) << keys_or.status().ToString();
   const std::set<std::string> keys(keys_or->begin(), keys_or->end());
   for (const char* key :
        {"schema", "race", "mode", "bound", "delta", "rounds",
