@@ -135,16 +135,12 @@ void PrintHeader(const std::string& artefact, const BenchSetup& setup) {
 }
 
 std::vector<std::string> RacingFlagNames() {
-  return {"racing",        "fixed-replicas", "delta",
-          "bound",         "min-replicas",   "batch",
-          "max-replicas",  "reuse-freed-budget"};
+  return {"racing",       "delta", "bound",
+          "min-replicas", "batch", "max-replicas",
+          "reuse-freed-budget"};
 }
 
 Status ApplyRacingFlags(const Flags& flags, RacingConfig* config) {
-  if (flags.Has("racing") && flags.Has("fixed-replicas")) {
-    return Status::InvalidArgument(
-        "--racing and --fixed-replicas are mutually exclusive");
-  }
   auto delta = flags.GetDouble("delta", config->delta);
   if (!delta.ok()) return delta.status();
   config->delta = *delta;

@@ -45,8 +45,6 @@ void PrintHeader(const std::string& artefact, const BenchSetup& setup);
 /// Flag names of the racing evaluation mode, shared by the comparison and
 /// α-sweep benches — append to a binary's known-flags list:
 ///   --racing              switch from the fixed-replica grid to racing
-///   --fixed-replicas      force the fixed grid (the default; errors if
-///                         combined with --racing)
 ///   --delta / --bound / --min-replicas / --batch / --max-replicas /
 ///   --reuse-freed-budget  RacingConfig knobs (see core/racing.h)
 std::vector<std::string> RacingFlagNames();

@@ -1,15 +1,14 @@
-// One-stop evaluation: trains the six methods once and renders *every*
-// Section-IV artefact (Tables II/III, Figs 10-16) into a single markdown
-// report — the efficient alternative to running each per-figure bench
-// (which retrains per binary). Writes fairmove_report.md next to the
-// terminal output; `--json=<path>` additionally emits the comparison as
-// machine-readable JSON (schema "fairmove.report.v1").
+// Section IV: trains the six methods once and renders every artefact of
+// that run (Tables II/III, Figs 10-16, with the paper's values and
+// expected shapes) into a single markdown report. Writes fairmove_report.md
+// next to the terminal output; `--json=<path>` additionally emits the
+// comparison as machine-readable JSON (schema "fairmove.report.v1").
 //
 // `--racing` replaces the single comparison run with a racing comparison
 // (core/racing.h, per-arm budget --max-replicas, default 4): the report's
 // figures render from the replica-0 rows (every arm races replica 0), and
 // the racing table — replicas spent per method, eliminations, budget
-// saving — is printed after the report.
+// saving — is printed before the report.
 
 #include <cstdio>
 #include <cstdlib>

@@ -5,9 +5,9 @@
 // repeat count (default sized for a single core).
 //
 // Two execution modes:
-//   (default / --fixed-replicas)  the original fixed grid: every method
-//       runs the same replica count. Output is byte-identical to the
-//       pre-racing harness (pinned by racing_test).
+//   (default)  the original fixed grid: every method runs the same
+//       replica count. Output is byte-identical to the pre-racing harness
+//       (pinned by racing_test).
 //   --racing   best-arm identification with early stopping (core/racing.h):
 //       methods whose confidence interval falls below a rival's stop
 //       consuming replicas; the per-arm budget defaults to the paper's 10
@@ -146,10 +146,9 @@ int main(int argc, char** argv) {
   auto flags_or = Flags::Parse(argc, argv, known);
   if (!flags_or.ok()) {
     std::fprintf(stderr,
-                 "%s\nusage: %s [--racing | --fixed-replicas] "
-                 "[--json=<path>] [--delta=D] [--bound=gaussian|hoeffding|"
-                 "bernstein] [--min-replicas=N] [--batch=N] "
-                 "[--max-replicas=N] [--reuse-freed-budget=0|1]\n",
+                 "%s\nusage: %s [--racing] [--json=<path>] [--delta=D] "
+                 "[--bound=gaussian|hoeffding|bernstein] [--min-replicas=N] "
+                 "[--batch=N] [--max-replicas=N] [--reuse-freed-budget=0|1]\n",
                  flags_or.status().ToString().c_str(), argv[0]);
     return 1;
   }

@@ -188,9 +188,8 @@ int main(int argc, char** argv) {
   auto flags_or = Flags::Parse(argc, argv, known);
   if (!flags_or.ok()) {
     std::fprintf(stderr,
-                 "%s\nusage: %s [--racing | --fixed-replicas] "
-                 "[--json=<path>] [racing knobs, see --help in "
-                 "bench_repeated_comparison]\n",
+                 "%s\nusage: %s [--racing] [--json=<path>] [racing knobs, "
+                 "see --help in bench_repeated_comparison]\n",
                  flags_or.status().ToString().c_str(), argv[0]);
     return 1;
   }

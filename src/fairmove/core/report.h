@@ -10,10 +10,10 @@
 namespace fairmove {
 
 /// Renders one trained-and-evaluated method comparison into a single
-/// markdown report containing every evaluation artefact of the paper
-/// (Tables II/III/IV-style rows, Figs 10-16 distributions and hourly
-/// series). One training run feeds all tables, instead of re-training per
-/// figure like the standalone bench binaries do.
+/// markdown report containing every Section-IV artefact of the paper
+/// (Tables II/III, Figs 10-16 distributions and hourly series), each
+/// captioned with the shape the paper reports and shown beside the paper's
+/// reference values. One training run feeds every table and figure.
 class ReportWriter {
  public:
   /// `results` as returned by Evaluator::Run (GT first).
@@ -33,13 +33,6 @@ class ReportWriter {
 
   /// Writes ToJson() to `path`.
   Status WriteJsonFile(const std::string& path) const;
-
-  // --- Individual sections (exposed for tests) ---------------------------
-  std::string HeadlineSection() const;      // PIPE/PIPF/PRCT/PRIT per method
-  std::string CruiseSection() const;        // Fig 10 boxplot rows
-  std::string IdleSection() const;          // Fig 12 boxplot rows
-  std::string PeSection() const;            // Fig 14 boxplot rows
-  std::string HourlySection() const;        // Figs 11/13 series
 
  private:
   const MethodResult* GroundTruth() const;

@@ -91,6 +91,27 @@ TEST(ReportWriterTest, RendersAllSections) {
   EXPECT_NE(markdown.find("Figs 11/13"), std::string::npos);
   EXPECT_NE(markdown.find("| GT |"), std::string::npos);
   EXPECT_NE(markdown.find("| SD2 |"), std::string::npos);
+  // Every Section-IV artefact appears under its paper title.
+  for (const char* artefact : {
+           "Table II — average PRCT per method",
+           "Table III — average PRIT per method",
+           "Fig 10 — per-trip cruise time by method",
+           "Fig 11 — hourly PRCT by method",
+           "Fig 12 — per-charge idle time by method",
+           "Fig 13 — hourly PRIT by method",
+           "Fig 14 — hourly PE distribution by method",
+           "Fig 15 — overall PIPE per method",
+           "Fig 16 — overall PIPF per method",
+       }) {
+    EXPECT_NE(markdown.find(artefact), std::string::npos) << artefact;
+  }
+  const size_t fig14 = markdown.find("## Fig 14");
+  ASSERT_NE(fig14, std::string::npos);
+  EXPECT_NE(markdown.find("| p10 |", fig14), std::string::npos);
+  EXPECT_NE(markdown.find("| PE gini |"), std::string::npos);
+  // The paper's SD2 row: PIPE, PIPF, PRCT, PRIT (Figs 15/16, Tables II/III).
+  EXPECT_NE(markdown.find("| SD2 | -5.0% | 13% | 19.4% | -23.1% |"),
+            std::string::npos);
 }
 
 TEST(ReportWriterTest, WritesFile) {
