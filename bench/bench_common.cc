@@ -1,9 +1,9 @@
 #include "bench_common.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
+#include "fairmove/common/flags.h"
 #include "fairmove/common/parallel.h"
 #include "fairmove/obs/jsonl.h"
 #include "fairmove/obs/span.h"
@@ -67,6 +67,17 @@ BenchSetup MakeSetup(double default_scale, int default_episodes,
     setup.config.eval.seed = 424242 + setup.env.seed;
   }
   return setup;
+}
+
+int RepeatsFromEnv(int fallback) {
+  const char* v = std::getenv("FAIRMOVE_REPEATS");
+  if (v == nullptr) return fallback;
+  auto parsed = ParseInt(v);
+  if (!parsed.ok() || *parsed <= 0) {
+    std::fprintf(stderr, "bad FAIRMOVE_REPEATS\n");
+    std::exit(1);
+  }
+  return static_cast<int>(*parsed);
 }
 
 std::unique_ptr<FairMoveSystem> BuildSystem(const FairMoveConfig& config) {
@@ -134,12 +145,10 @@ void PrintHeader(const std::string& artefact, const BenchSetup& setup) {
   }
 }
 
-std::vector<std::string> RacingFlagNames() {
-  return {"racing",       "delta", "bound",
-          "min-replicas", "batch", "max-replicas",
-          "reuse-freed-budget"};
-}
+namespace {
 
+/// Applies the racing knob flags onto `config` (leaving unset knobs at
+/// their incoming values) and validates the result.
 Status ApplyRacingFlags(const Flags& flags, RacingConfig* config) {
   auto delta = flags.GetDouble("delta", config->delta);
   if (!delta.ok()) return delta.status();
@@ -164,37 +173,37 @@ Status ApplyRacingFlags(const Flags& flags, RacingConfig* config) {
   return config->Validate();
 }
 
-RacingOutcome FixedGridOutcome(const RepeatedComparison& result,
-                               const RacingConfig& config) {
-  RacingOutcome outcome;
-  outcome.rounds = 1;
-  for (const RepeatedMethodResult& m : result.methods) {
-    RacingCell cell;
-    cell.name = m.name;
-    cell.replicas = result.repeats;
-    cell.reward = m.reward;
-    cell.half_width = m.reward.CiHalfWidth(config.bound, config.delta);
-    outcome.cells.push_back(std::move(cell));
-    outcome.replicas_spent += result.repeats;
+}  // namespace
+
+RacingArgs ParseRacingArgs(int argc, char** argv, int default_max_replicas) {
+  auto flags_or = Flags::Parse(argc, argv,
+                               {"racing", "delta", "bound", "min-replicas",
+                                "batch", "max-replicas", "reuse-freed-budget",
+                                "json"});
+  if (!flags_or.ok()) {
+    std::fprintf(stderr,
+                 "%s\nusage: %s [--racing] [--json=<path>] [--delta=D] "
+                 "[--bound=gaussian|hoeffding|bernstein] [--min-replicas=N] "
+                 "[--batch=N] [--max-replicas=N] [--reuse-freed-budget=0|1]\n",
+                 flags_or.status().ToString().c_str(), argv[0]);
+    std::exit(1);
   }
-  outcome.fixed_budget = outcome.replicas_spent;
-  for (size_t i = 0; i < outcome.cells.size(); ++i) {
-    if (outcome.best_arm < 0 ||
-        outcome.cells[i].reward.mean() >
-            outcome.cells[static_cast<size_t>(outcome.best_arm)]
-                .reward.mean()) {
-      outcome.best_arm = static_cast<int>(i);
-    }
-    outcome.order.push_back(static_cast<int>(i));
+  const Flags flags = std::move(flags_or).value();
+  RacingArgs args;
+  args.config.max_replicas = default_max_replicas;
+  Status status = ApplyRacingFlags(flags, &args.config);
+  auto racing = flags.GetBool("racing", false);
+  if (status.ok() && !racing.ok()) status = racing.status();
+  args.json_path = flags.GetString("json");
+  if (status.ok() && flags.Has("json") && args.json_path.empty()) {
+    status = Status::InvalidArgument("--json needs a path (--json=<path>)");
   }
-  std::stable_sort(outcome.order.begin(), outcome.order.end(),
-                   [&outcome](int a, int b) {
-                     return outcome.cells[static_cast<size_t>(a)]
-                                .reward.mean() >
-                            outcome.cells[static_cast<size_t>(b)]
-                                .reward.mean();
-                   });
-  return outcome;
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+  args.racing = *racing;
+  return args;
 }
 
 }  // namespace fairmove::bench

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "fairmove/common/config.h"
-#include "fairmove/common/flags.h"
 #include "fairmove/core/fairmove.h"
 #include "fairmove/core/racing.h"
 
@@ -27,6 +26,11 @@ struct BenchSetup {
 BenchSetup MakeSetup(double default_scale, int default_episodes,
                      int default_days);
 
+/// FAIRMOVE_REPEATS (replicas per method of a repeated grid), or `fallback`
+/// when unset. Exits the process with a message unless it is a positive
+/// integer.
+int RepeatsFromEnv(int fallback);
+
 /// Builds the system stack or exits with the error.
 std::unique_ptr<FairMoveSystem> BuildSystem(const FairMoveConfig& config);
 
@@ -42,23 +46,23 @@ std::vector<MethodResult> RunSixMethodComparison(FairMoveSystem& system);
 /// at which configuration.
 void PrintHeader(const std::string& artefact, const BenchSetup& setup);
 
-/// Flag names of the racing evaluation mode, shared by the comparison and
-/// α-sweep benches — append to a binary's known-flags list:
-///   --racing              switch from the fixed-replica grid to racing
+/// Command line of the comparison, α-sweep and report benches:
+///   --racing              race with `config` instead of the bench's
+///                         default fixed grid or single pass
 ///   --delta / --bound / --min-replicas / --batch / --max-replicas /
 ///   --reuse-freed-budget  RacingConfig knobs (see core/racing.h)
-std::vector<std::string> RacingFlagNames();
+///   --json=<path>         machine-readable output (empty = none)
+struct RacingArgs {
+  RacingConfig config;
+  bool racing = false;
+  std::string json_path;
+};
 
-/// Applies the racing knob flags onto `config` (leaving unset knobs at
-/// their incoming values) and validates the result.
-Status ApplyRacingFlags(const Flags& flags, RacingConfig* config);
-
-/// Describes a completed fixed-replica grid in racing vocabulary: uniform
-/// replica counts, no eliminations, order by mean raced reward (half-widths
-/// at `config`'s bound/delta). Lets fixed mode emit the same
-/// fairmove.racing.v1 JSON document racing mode does.
-RacingOutcome FixedGridOutcome(const RepeatedComparison& result,
-                               const RacingConfig& config);
+/// Parses the command line onto a RacingConfig whose per-arm budget
+/// defaults to `default_max_replicas`. Any bad flag — unknown, an invalid
+/// knob, or --json without a path — prints the error and exits the process
+/// with status 1 before the bench does any work.
+RacingArgs ParseRacingArgs(int argc, char** argv, int default_max_replicas);
 
 }  // namespace fairmove::bench
 

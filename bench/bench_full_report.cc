@@ -14,36 +14,17 @@
 #include <cstdlib>
 
 #include "bench_common.h"
-#include "fairmove/common/flags.h"
 #include "fairmove/core/report.h"
 
 int main(int argc, char** argv) {
   using namespace fairmove;
-  std::vector<std::string> known = bench::RacingFlagNames();
-  known.push_back("json");
-  auto flags_or = Flags::Parse(argc, argv, known);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr,
-                 "%s\nusage: %s [--racing] [--json=<path>] [racing knobs]\n",
-                 flags_or.status().ToString().c_str(), argv[0]);
-    return 1;
-  }
-  const Flags flags = std::move(flags_or).value();
-  RacingConfig racing;
-  racing.max_replicas = 4;  // the report trains 20 episodes/method per cell
-  if (Status s = bench::ApplyRacingFlags(flags, &racing); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  auto is_racing = flags.GetBool("racing", false);
-  if (!is_racing.ok()) {
-    std::fprintf(stderr, "%s\n", is_racing.status().ToString().c_str());
-    return 1;
-  }
+  // A modest racing budget: the report trains 20 episodes/method per cell.
+  const bench::RacingArgs args = bench::ParseRacingArgs(argc, argv, 4);
+  const RacingConfig& racing = args.config;
   bench::BenchSetup setup = bench::MakeSetup(0.08, 20, 2);
 
   std::vector<MethodResult> results;
-  if (*is_racing) {
+  if (args.racing) {
     bench::PrintHeader(
         "consolidated Section-IV report (racing comparison, per-arm "
         "budget " + std::to_string(racing.max_replicas) + ")",
@@ -82,17 +63,12 @@ int main(int argc, char** argv) {
   }
   std::printf("\nreport written to %s\n", path.c_str());
 
-  if (flags.Has("json")) {
-    const std::string json_path = flags.GetString("json");
-    if (json_path.empty()) {
-      std::fprintf(stderr, "--json needs a path (--json=<path>)\n");
-      return 1;
-    }
-    if (Status s = report.WriteJsonFile(json_path); !s.ok()) {
+  if (!args.json_path.empty()) {
+    if (Status s = report.WriteJsonFile(args.json_path); !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("json report written to %s\n", json_path.c_str());
+    std::printf("json report written to %s\n", args.json_path.c_str());
   }
   return 0;
 }

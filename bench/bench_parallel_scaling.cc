@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,15 +22,7 @@
 int main() {
   using namespace fairmove;
   bench::BenchSetup setup = bench::MakeSetup(0.04, 2, 1);
-  int repeats = 2;
-  if (const char* v = std::getenv("FAIRMOVE_REPEATS")) {
-    auto parsed = ParseInt(v);
-    if (!parsed.ok() || *parsed <= 0) {
-      std::fprintf(stderr, "bad FAIRMOVE_REPEATS\n");
-      return 1;
-    }
-    repeats = static_cast<int>(*parsed);
-  }
+  const int repeats = bench::RepeatsFromEnv(2);
   const std::vector<PolicyKind> kinds = FairMoveSystem::AllMethods();
   const double cells =
       static_cast<double>(repeats) * static_cast<double>(kinds.size());

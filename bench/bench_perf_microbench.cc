@@ -218,12 +218,13 @@ void BM_PolicyDecideScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyDecideScalar)->Arg(5)->Arg(25);
 
-// One comparison-grid cell: train + evaluate one method inside a private
-// replica simulator against a precomputed GT baseline — the unit of work
-// the racing scheduler (core/racing.h) buys with each replica it spends.
-// The racing wall-clock win is (cells saved) × (this number), so the gate
-// pins it: a regression here silently inflates every racing and
-// fixed-replica experiment alike.
+// One comparison-grid cell: Evaluator::RunKind trains + evaluates one
+// method inside a private replica simulator against a precomputed GT
+// baseline — the unit of work every replica grid (core/racing.h; a fixed
+// grid is a one-round race) spends per cell, and that Evaluator::Run fans
+// out per method. The racing wall-clock win is (cells saved) × (this
+// number), so the gate pins it: a regression here silently inflates every
+// raced and fixed grid alike.
 void BM_EvaluatorCell(benchmark::State& state) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(
       static_cast<double>(state.range(0)) / 100.0);
@@ -233,8 +234,6 @@ void BM_EvaluatorCell(benchmark::State& state) {
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
   Evaluator evaluator = system->MakeEvaluator();
   const MethodResult gt = evaluator.RunGroundTruth();
-  evaluator.EnableReplicas(
-      {&system->city(), &system->demand(), &system->sim().tariff()});
   for (auto _ : state) {
     MethodResult cell = evaluator.RunKind(PolicyKind::kFairMove, gt.metrics);
     benchmark::DoNotOptimize(cell);

@@ -15,7 +15,8 @@
 // the pre-racing bench). `--racing` races the alphas as arms over
 // independently seeded replicas (core/racing.h): clearly-dominated alphas
 // stop early and the freed replica budget tightens the interval around the
-// peak. `--json=<path>` emits machine-readable results in either mode.
+// peak. `--json=<path>` emits machine-readable results in either mode; the
+// single pass reports itself as a one-replica race.
 
 #include <chrono>
 #include <cstdio>
@@ -46,8 +47,8 @@ int RunFixed(const bench::BenchSetup& setup, const RacingConfig& racing,
   const char* paper[] = {"6.95", "7.05", "7.16", "7.44", "7.39", "7.15"};
   double best_reward = -1e18, best_alpha = -1.0;
   int idx = 0;
-  RepeatedComparison sweep;  // reuses the racing-JSON shape for --json
-  sweep.repeats = 1;
+  std::vector<std::string> arms;
+  std::vector<double> rewards;  // one replica per arm, for --json
   const auto t0 = std::chrono::steady_clock::now();
   for (double alpha : Alphas()) {
     FairMoveConfig cfg = setup.config;
@@ -78,10 +79,8 @@ int RunFixed(const bench::BenchSetup& setup, const RacingConfig& racing,
     }
     char name[32];
     std::snprintf(name, sizeof(name), "alpha=%g", alpha);
-    RepeatedMethodResult row;
-    row.name = name;
-    row.reward.Add(eval.avg_reward);
-    sweep.methods.push_back(row);
+    arms.push_back(name);
+    rewards.push_back(eval.avg_reward);
     std::printf("alpha %.1f done (avg reward %.3f)\n", alpha,
                 eval.avg_reward);
   }
@@ -93,9 +92,20 @@ int RunFixed(const bench::BenchSetup& setup, const RacingConfig& racing,
   std::printf("note: rewards are in normalised Eq-5 units, not the paper's "
               "(undocumented) scale; compare the peak location only.\n");
   if (!json_path.empty()) {
-    const RacingOutcome outcome = bench::FixedGridOutcome(sweep, racing);
+    // The pass above is a one-replica grid; replay its rewards through the
+    // race engine so the document has the racing mode's shape.
+    RacingConfig grid = racing;
+    grid.min_replicas = grid.max_replicas = 1;
+    Race race(std::move(arms), grid);
+    while (race.NextRoundSize() > 0) {
+      for (int arm : race.survivors()) {
+        race.Observe(arm, rewards[static_cast<size_t>(arm)]);
+      }
+      race.FinishRound();
+    }
+    const RacingOutcome outcome = race.Finish();
     if (Status s = WriteRacingJson(json_path, "table4_alpha_sweep",
-                                   "fixed-replicas", racing, outcome, secs);
+                                   "fixed-replicas", grid, outcome, secs);
         !s.ok()) {
       std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 1;
@@ -183,34 +193,9 @@ int RunRacing(const bench::BenchSetup& setup, const RacingConfig& racing,
 
 int main(int argc, char** argv) {
   using namespace fairmove;
-  std::vector<std::string> known = bench::RacingFlagNames();
-  known.push_back("json");
-  auto flags_or = Flags::Parse(argc, argv, known);
-  if (!flags_or.ok()) {
-    std::fprintf(stderr,
-                 "%s\nusage: %s [--racing] [--json=<path>] [racing knobs, "
-                 "see --help in bench_repeated_comparison]\n",
-                 flags_or.status().ToString().c_str(), argv[0]);
-    return 1;
-  }
-  const Flags flags = std::move(flags_or).value();
-  RacingConfig racing;
-  racing.max_replicas = 6;  // α cells train a policy each; keep it modest
-  if (Status s = bench::ApplyRacingFlags(flags, &racing); !s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  const std::string json_path = flags.GetString("json");
-  if (flags.Has("json") && json_path.empty()) {
-    std::fprintf(stderr, "--json needs a path (--json=<path>)\n");
-    return 1;
-  }
+  // α cells train a policy each; keep the racing budget modest.
+  const bench::RacingArgs args = bench::ParseRacingArgs(argc, argv, 6);
   bench::BenchSetup setup = bench::MakeSetup(0.06, 8, 1);
-  auto is_racing = flags.GetBool("racing", false);
-  if (!is_racing.ok()) {
-    std::fprintf(stderr, "%s\n", is_racing.status().ToString().c_str());
-    return 1;
-  }
-  return *is_racing ? RunRacing(setup, racing, json_path)
-                    : RunFixed(setup, racing, json_path);
+  return args.racing ? RunRacing(setup, args.config, args.json_path)
+                     : RunFixed(setup, args.config, args.json_path);
 }

@@ -92,49 +92,24 @@ Evaluator::Evaluator(Simulator* sim, TrainerConfig trainer_config,
 
 MethodResult Evaluator::RunGroundTruth() {
   FM_SPAN("evaluator/ground_truth");
-  MethodResult result;
-  result.kind = PolicyKind::kGroundTruth;
   auto policy = MakePolicy(PolicyKind::kGroundTruth, *sim_, 7000);
-  result.name = policy->name();
-  Trainer trainer(sim_, trainer_config_);
-  result.eval_stats = trainer.RunEvaluationEpisode(
-      policy.get(), eval_config_.seed,
-      static_cast<int64_t>(eval_config_.days) * kSlotsPerDay);
-  result.metrics = ComputeFleetMetrics(*sim_);
+  MethodResult result = RunOne(policy.get(), FleetMetrics{});
+  result.kind = PolicyKind::kGroundTruth;
+  // GT is its own baseline.
   result.vs_gt = CompareToGroundTruth(result.metrics, result.metrics);
   return result;
 }
 
-void Evaluator::EnableReplicas(const ReplicaContext& ctx) {
-  FM_CHECK(ctx.city != nullptr && ctx.demand != nullptr &&
-           ctx.tariff != nullptr)
-      << "ReplicaContext must be fully populated";
-  replicas_ = ctx;
-}
-
 MethodResult Evaluator::RunKind(PolicyKind kind, const FleetMetrics& gt) const {
   FM_SPAN("evaluator/method");
-  FM_CHECK(replicas_enabled()) << "EnableReplicas() before RunKind()";
-  // Same SimConfig (seed included) as the bound simulator: Reset() makes a
-  // method run a pure function of its seeds, so this replica reproduces the
-  // shared-simulator run bit for bit.
-  auto sim_or = Simulator::Create(replicas_.city, replicas_.demand,
-                                  *replicas_.tariff, sim_->config());
+  auto sim_or = Simulator::Create(&sim_->city(), &sim_->demand(),
+                                  sim_->tariff(), sim_->config());
   FM_CHECK(sim_or.ok()) << sim_or.status();
   std::unique_ptr<Simulator> sim = std::move(*sim_or);
   auto policy = MakePolicy(kind, *sim, 7000);
-  MethodResult result;
+  Evaluator replica(sim.get(), trainer_config_, eval_config_);
+  MethodResult result = replica.RunOne(policy.get(), gt);
   result.kind = kind;
-  result.name = policy->name();
-  Trainer trainer(sim.get(), trainer_config_);
-  if (policy->WantsTransitions()) {
-    result.training_stats = trainer.Train(policy.get());
-  }
-  result.eval_stats = trainer.RunEvaluationEpisode(
-      policy.get(), eval_config_.seed,
-      static_cast<int64_t>(eval_config_.days) * kSlotsPerDay);
-  result.metrics = ComputeFleetMetrics(*sim);
-  result.vs_gt = CompareToGroundTruth(gt, result.metrics);
   return result;
 }
 
@@ -158,35 +133,19 @@ MethodResult Evaluator::RunOne(DisplacementPolicy* policy,
 std::vector<MethodResult> Evaluator::Run(
     const std::vector<PolicyKind>& kinds) {
   FM_SPAN("evaluator/run");
-  std::vector<MethodResult> results;
-  MethodResult gt = RunGroundTruth();
-  const FleetMetrics gt_metrics = gt.metrics;
-  results.push_back(std::move(gt));
   std::vector<PolicyKind> rest;
   for (PolicyKind kind : kinds) {
-    if (kind == PolicyKind::kGroundTruth) continue;  // already first
-    rest.push_back(kind);
+    if (kind != PolicyKind::kGroundTruth) rest.push_back(kind);
   }
-  if (replicas_enabled() && !rest.empty()) {
-    // One independent cell per method, each on a private replica simulator.
-    // Slot-indexed writes + in-order append keep the output identical to
-    // the serial path below for any pool size.
-    std::vector<MethodResult> cells(rest.size());
-    GlobalPool().ParallelFor(static_cast<int64_t>(rest.size()),
-                             [&](int64_t i) {
-                               cells[static_cast<size_t>(i)] =
-                                   RunKind(rest[static_cast<size_t>(i)],
-                                           gt_metrics);
-                             });
-    for (MethodResult& cell : cells) results.push_back(std::move(cell));
-  } else {
-    for (PolicyKind kind : rest) {
-      auto policy = MakePolicy(kind, *sim_, 7000);
-      MethodResult r = RunOne(policy.get(), gt_metrics);
-      r.kind = kind;
-      results.push_back(std::move(r));
-    }
-  }
+  std::vector<MethodResult> results(1 + rest.size());
+  results[0] = RunGroundTruth();
+  const FleetMetrics& gt_metrics = results[0].metrics;
+  // One independent cell per method, each on a private replica simulator;
+  // slot-indexed writes keep the output identical for any pool size.
+  GlobalPool().ParallelFor(static_cast<int64_t>(rest.size()), [&](int64_t i) {
+    results[static_cast<size_t>(i) + 1] =
+        RunKind(rest[static_cast<size_t>(i)], gt_metrics);
+  });
   return results;
 }
 

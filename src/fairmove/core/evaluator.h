@@ -50,14 +50,6 @@ struct MethodResult {
   std::vector<Trainer::EpisodeStats> training_stats;
 };
 
-/// The immutable world replica simulators are built against. Everything
-/// pointed to is read-only during evaluation and must outlive the evaluator.
-struct ReplicaContext {
-  const City* city = nullptr;
-  const DemandSource* demand = nullptr;
-  const TouTariff* tariff = nullptr;
-};
-
 /// Trains (where applicable) and evaluates a set of methods under identical
 /// demand realisations, with GT as the comparison baseline — the harness
 /// behind Tables II/III and Figs 10-16.
@@ -68,33 +60,24 @@ class Evaluator {
             EvalConfig eval_config);
 
   /// Runs the listed methods in order. kGroundTruth is always evaluated
-  /// first (prepended if absent) because every other method is compared
-  /// against it.
-  ///
-  /// With replicas enabled (EnableReplicas), the non-GT methods run
-  /// concurrently on the global pool, each inside its own replica
-  /// simulator; results land in slots indexed by the method's position in
-  /// `kinds`, so the returned order — and, because every method run is a
-  /// pure function of its seeds (Simulator::Reset reinitialises fleet, RNG
-  /// streams and predictor), every byte of the results — is identical to
-  /// the serial shared-simulator path at any thread count.
+  /// first (prepended if absent), on the bound simulator, because every
+  /// other method is compared against it. The other methods then run
+  /// concurrently on the global pool, one RunKind replica each, into slots
+  /// indexed by position, so the results are byte-identical at any thread
+  /// count. The bound simulator ends a Run() holding the GT episode.
   std::vector<MethodResult> Run(const std::vector<PolicyKind>& kinds);
 
-  /// Allows Run() to evaluate methods concurrently, each on a private
-  /// simulator built from `ctx` with this evaluator's SimConfig. Without
-  /// this, Run() trains/evaluates every method serially on the bound
-  /// (shared) simulator. Note: with replicas, the bound simulator ends a
-  /// Run() holding the GT episode, not the last method's.
-  void EnableReplicas(const ReplicaContext& ctx);
-  bool replicas_enabled() const { return replicas_.city != nullptr; }
-
-  /// Trains + evaluates one method inside its own replica simulator.
-  /// Thread-safe: const, shares nothing mutable with other RunKind calls
-  /// (the replica, trainer and policy are all function-local).
+  /// RunOne on a private replica of the bound simulator: same city, demand,
+  /// tariff and SimConfig (seed included). Because Simulator::Reset makes a
+  /// method run a pure function of its seeds, the result is bit-identical
+  /// to RunOne on the bound simulator. Thread-safe: const, shares nothing
+  /// mutable with other RunKind calls (the replica, trainer and policy are
+  /// all function-local).
   MethodResult RunKind(PolicyKind kind, const FleetMetrics& gt) const;
 
-  /// Trains + evaluates a single externally constructed policy and
-  /// compares it against a fresh GT run.
+  /// Trains (if the policy learns) + evaluates a single externally
+  /// constructed policy on the bound simulator and compares it against
+  /// `gt`.
   MethodResult RunOne(DisplacementPolicy* policy, const FleetMetrics& gt);
 
   /// Evaluates the GT baseline only.
@@ -104,7 +87,6 @@ class Evaluator {
   Simulator* sim_;
   TrainerConfig trainer_config_;
   EvalConfig eval_config_;
-  ReplicaContext replicas_;
 };
 
 }  // namespace fairmove

@@ -1,10 +1,9 @@
 #include "fairmove/core/experiment.h"
 
 #include <cstdio>
-#include <memory>
 
-#include "fairmove/common/parallel.h"
 #include "fairmove/common/rng.h"
+#include "fairmove/core/racing.h"
 
 namespace fairmove {
 
@@ -79,69 +78,17 @@ StatusOr<RepeatedComparison> RunRepeatedComparison(
     const FairMoveConfig& base_config, const std::vector<PolicyKind>& kinds,
     int repeats) {
   if (repeats <= 0) return Status::InvalidArgument("repeats must be > 0");
-  std::vector<PolicyKind> rest;  // evaluation order after the GT baseline
+  std::vector<PolicyKind> arms = {PolicyKind::kGroundTruth};
   for (PolicyKind kind : kinds) {
-    if (kind != PolicyKind::kGroundTruth) rest.push_back(kind);
+    if (kind != PolicyKind::kGroundTruth) arms.push_back(kind);
   }
-  // Per-repeat state, slot-indexed so concurrent cells never contend.
-  struct RepeatCell {
-    Status status = Status::OK();
-    std::unique_ptr<FairMoveSystem> system;
-    MethodResult gt;
-    std::vector<MethodResult> rows;  // parallel to `rest`
-  };
-  std::vector<RepeatCell> cells(static_cast<size_t>(repeats));
-  ThreadPool& pool = GlobalPool();
-
-  // Phase A: one task per repeat — build the stack from its derived seeds
-  // and run the GT baseline every other method compares against.
-  pool.ParallelFor(repeats, [&](int64_t r) {
-    RepeatCell& cell = cells[static_cast<size_t>(r)];
-    auto system_or =
-        FairMoveSystem::Create(RepeatConfig(base_config, static_cast<int>(r)));
-    if (!system_or.ok()) {
-      cell.status = system_or.status();
-      return;
-    }
-    cell.system = std::move(*system_or);
-    cell.gt = cell.system->MakeEvaluator().RunGroundTruth();
-    cell.rows.resize(rest.size());
-  });
-  for (const RepeatCell& cell : cells) {  // lowest failing repeat wins
-    if (!cell.status.ok()) return cell.status;
-  }
-
-  // Phase B: the (repeat × method) grid. Each cell trains + evaluates one
-  // method in a private replica simulator; repeats only share their
-  // immutable city/demand/tariff and the frozen GT metrics.
-  const int64_t num_rest = static_cast<int64_t>(rest.size());
-  pool.ParallelFor(static_cast<int64_t>(repeats) * num_rest, [&](int64_t i) {
-    RepeatCell& cell = cells[static_cast<size_t>(i / num_rest)];
-    const size_t k = static_cast<size_t>(i % num_rest);
-    FairMoveSystem& system = *cell.system;
-    Evaluator evaluator = system.MakeEvaluator();
-    evaluator.EnableReplicas(
-        {&system.city(), &system.demand(), &system.sim().tariff()});
-    cell.rows[k] = evaluator.RunKind(rest[k], cell.gt.metrics);
-  });
-
-  // Ordered reduction on the calling thread: per method, Chan-merge the
-  // repeats' one-sample partials in ascending repeat order.
-  RepeatedComparison aggregate;
-  aggregate.repeats = repeats;
-  aggregate.methods.resize(1 + rest.size());
-  for (size_t i = 0; i < aggregate.methods.size(); ++i) {
-    const MethodResult& first =
-        i == 0 ? cells[0].gt : cells[0].rows[i - 1];
-    aggregate.methods[i].kind = first.kind;
-    aggregate.methods[i].name = first.name;
-    for (size_t r = 0; r < cells.size(); ++r) {
-      RepeatedMethodResult partial;
-      partial.Accumulate(i == 0 ? cells[r].gt : cells[r].rows[i - 1]);
-      aggregate.methods[i].Merge(partial);
-    }
-  }
-  return aggregate;
+  // The fixed grid is the race whose first round spends the whole budget:
+  // every arm runs every repeat before any elimination check.
+  RacingConfig grid;
+  grid.min_replicas = grid.max_replicas = repeats;
+  auto raced_or = RunRacingComparison(base_config, arms, grid);
+  if (!raced_or.ok()) return raced_or.status();
+  return std::move(raced_or->aggregate);
 }
 
 }  // namespace fairmove

@@ -63,16 +63,13 @@ FairMoveConfig RepeatConfig(const FairMoveConfig& base, int repeat);
 
 /// Runs the six-method comparison `repeats` times on fresh systems derived
 /// from `base_config` (see RepeatConfig) and returns aggregate statistics
-/// per method.
+/// per method: GT first, then the non-GT `kinds` in order.
 ///
-/// Execution is a (repeat × method) grid on the global pool: phase A
-/// builds each repeat's system and GT baseline, phase B runs every
-/// (repeat, non-GT method) cell in its own replica simulator. Each cell is
-/// a pure function of its derived seeds and lands in a preassigned slot;
-/// the reduction then Merges slots in (method, repeat) order on the
-/// calling thread — so the aggregate is byte-identical for any
-/// FAIRMOVE_THREADS value, including the serial path. Errors surface in
-/// repeat order (the lowest failing repeat wins), independent of timing.
+/// This is a one-round race (core/racing.h: RunRacingComparison with
+/// min_replicas == max_replicas == repeats), so it keeps RunRace's
+/// contract: the aggregate is byte-identical for any FAIRMOVE_THREADS
+/// value, and errors surface in repeat order (the lowest failing repeat
+/// wins), independent of timing.
 StatusOr<RepeatedComparison> RunRepeatedComparison(
     const FairMoveConfig& base_config, const std::vector<PolicyKind>& kinds,
     int repeats);

@@ -58,15 +58,13 @@ class FairMoveSystem {
   }
 
   /// Trains and evaluates the listed methods against GT — the workhorse of
-  /// the comparison benches. Non-GT methods run concurrently on the global
-  /// pool (each in a private replica simulator); the result table is
-  /// byte-identical at any FAIRMOVE_THREADS setting. Side effect: after
-  /// this returns, sim() holds the GT episode's state.
+  /// the comparison benches (Evaluator::Run). Non-GT methods run
+  /// concurrently on the global pool (each in a private replica simulator);
+  /// the result table is byte-identical at any FAIRMOVE_THREADS setting.
+  /// Side effect: after this returns, sim() holds the GT episode's state.
   std::vector<MethodResult> RunComparison(
       const std::vector<PolicyKind>& kinds) {
-    Evaluator evaluator = MakeEvaluator();
-    evaluator.EnableReplicas({city_.get(), demand_.get(), &sim_->tariff()});
-    return evaluator.Run(kinds);
+    return MakeEvaluator().Run(kinds);
   }
 
   /// All six methods of the paper.

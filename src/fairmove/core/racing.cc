@@ -1,7 +1,6 @@
 #include "fairmove/core/racing.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -35,10 +34,13 @@ Status RacingConfig::Validate() const {
   if (!(delta > 0.0 && delta < 1.0)) {
     return Status::InvalidArgument("racing delta must be in (0, 1)");
   }
-  if (min_replicas < 2) {
+  // A one-replica grid is allowed: with no interval to compare, its single
+  // round eliminates nothing (CiHalfWidth is +inf below two samples).
+  if (min_replicas < 2 && !(min_replicas == 1 && max_replicas == 1)) {
     return Status::InvalidArgument(
         "racing min_replicas must be >= 2 (confidence intervals are "
-        "undefined below two samples)");
+        "undefined below two samples) unless min_replicas == max_replicas "
+        "== 1");
   }
   if (batch < 1) {
     return Status::InvalidArgument("racing batch must be >= 1");
@@ -273,13 +275,12 @@ StatusOr<RacedComparison> RunRacingComparison(
   std::vector<ReplicaState> replicas(max_index);
   std::vector<std::vector<MethodResult>> results(
       kinds.size(), std::vector<MethodResult>(max_index));
-  std::atomic<int64_t> gt_runs{0};
 
   RacingGridHooks hooks;
-  // Replica r's stack comes from RepeatConfig(base, r) — the exact seeds of
-  // fixed-mode repeat r — and its GT baseline is evaluated here no matter
-  // whether the GT *arm* is still racing: every method's vs_gt columns need
-  // it. (GT is eval-only, far cheaper than a trained cell.)
+  // Replica r's stack comes from RepeatConfig(base, r), and its GT baseline
+  // is evaluated here no matter whether the GT *arm* is still racing: every
+  // method's vs_gt columns need it. (GT is eval-only, far cheaper than a
+  // trained cell.)
   hooks.prepare = [&](int r) -> Status {
     ReplicaState& rep = replicas[static_cast<size_t>(r)];
     auto system_or =
@@ -287,7 +288,6 @@ StatusOr<RacedComparison> RunRacingComparison(
     if (!system_or.ok()) return system_or.status();
     rep.system = std::move(*system_or);
     rep.gt = rep.system->MakeEvaluator().RunGroundTruth();
-    gt_runs.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   };
   hooks.run_cell = [&](int arm, int r) -> StatusOr<double> {
@@ -296,12 +296,8 @@ StatusOr<RacedComparison> RunRacingComparison(
     if (kinds[static_cast<size_t>(arm)] == PolicyKind::kGroundTruth) {
       slot = rep.gt;  // already evaluated while preparing the replica
     } else {
-      FairMoveSystem& system = *rep.system;
-      Evaluator evaluator = system.MakeEvaluator();
-      evaluator.EnableReplicas(
-          {&system.city(), &system.demand(), &system.sim().tariff()});
-      slot = evaluator.RunKind(kinds[static_cast<size_t>(arm)],
-                               rep.gt.metrics);
+      slot = rep.system->MakeEvaluator().RunKind(
+          kinds[static_cast<size_t>(arm)], rep.gt.metrics);
     }
     return slot.eval_stats.avg_reward;
   };
@@ -314,11 +310,9 @@ StatusOr<RacedComparison> RunRacingComparison(
 
   RacedComparison out;
   out.outcome = std::move(*outcome_or);
-  out.gt_baseline_runs = gt_runs.load();
 
-  // Aggregate exactly like RunRepeatedComparison, restricted per arm to the
-  // replicas it actually ran: one-sample partials Merged in ascending
-  // replica order on this thread.
+  // Per arm, over the replicas it actually ran: one-sample partials Merged
+  // in ascending replica order on this thread.
   out.aggregate.methods.resize(kinds.size());
   for (size_t arm = 0; arm < kinds.size(); ++arm) {
     RepeatedMethodResult& agg = out.aggregate.methods[arm];
@@ -332,7 +326,7 @@ StatusOr<RacedComparison> RunRacingComparison(
       agg.Merge(partial);
     }
   }
-  // Every arm raced replica 0 (round 0 runs min_replicas >= 2 for all
+  // Every arm raced replica 0 (round 0 runs min_replicas >= 1 for all
   // arms), so the replica-0 rows form a complete report-shaped result set.
   out.first_replica.reserve(kinds.size());
   for (size_t arm = 0; arm < kinds.size(); ++arm) {

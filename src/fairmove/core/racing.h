@@ -4,15 +4,18 @@
 // Racing evaluation: best-arm identification with early-stopping confidence
 // bounds over Monte-Carlo replica grids (ROADMAP item 4).
 //
-// The fixed-replica harness (RunRepeatedComparison, the Table-IV α-sweep)
-// spends an identical replica budget on every (method, α) cell no matter how
-// separated the cells already are. The racing procedure here streams each
-// replica's scalar objective into per-arm confidence intervals and applies
-// successive elimination: once an arm's upper bound falls below some other
-// arm's lower bound, it is dominated at confidence 1 - δ and stops consuming
-// replicas. The budget it frees flows to the still-ambiguous arms, so a race
-// either resolves early (multiplicative wall-clock win) or ends with tighter
-// intervals exactly where the ordering was hardest.
+// A fixed replica grid spends an identical budget on every (method, α) cell
+// no matter how separated the cells already are. The racing procedure here
+// streams each replica's scalar objective into per-arm confidence intervals
+// and applies successive elimination: once an arm's upper bound falls below
+// some other arm's lower bound, it is dominated at confidence 1 - δ and stops
+// consuming replicas. The budget it frees flows to the still-ambiguous arms,
+// so a race either resolves early (multiplicative wall-clock win) or ends
+// with tighter intervals exactly where the ordering was hardest.
+//
+// RunRace is the only replica-grid engine: a fixed grid (RunRepeatedComparison)
+// is the race with min_replicas == max_replicas, whose one round spends the
+// whole budget.
 //
 // Determinism contract (DESIGN.md §12): replica r of arm a is a pure
 // function of (a, r) — seeds come from DeriveSeed / RepeatConfig keyed on
@@ -45,7 +48,9 @@ struct RacingConfig {
   double delta = 0.05;
   CiBound bound = CiBound::kGaussian;
   /// Replicas every arm runs before the first elimination check (intervals
-  /// are undefined below 2 samples; see RunningStats::CiHalfWidth).
+  /// are undefined below 2 samples; see RunningStats::CiHalfWidth). 1 is
+  /// valid only with max_replicas == 1: a one-replica grid that makes no
+  /// elimination decision.
   int min_replicas = 2;
   /// New replicas per surviving arm per subsequent round.
   int batch = 1;
@@ -130,8 +135,6 @@ class Race {
   int NextRoundSize() const;
   /// Surviving arm indices, ascending.
   const std::vector<int>& survivors() const { return survivors_; }
-  int round() const { return round_; }
-  int64_t replicas_spent() const { return spent_; }
 
   /// Feeds one replica's objective for a surviving arm.
   void Observe(int arm, double reward);
@@ -154,8 +157,8 @@ class Race {
 
 /// Callbacks of one racing grid. All three must be safe to invoke from pool
 /// workers; run_cell must additionally be a pure function of (arm, replica)
-/// sharing no mutable state across concurrent calls — the same discipline
-/// RunRepeatedComparison's phase-B cells already obey.
+/// sharing no mutable state across concurrent calls, since a round runs its
+/// cells concurrently and the outcome must not depend on their timing.
 struct RacingGridHooks {
   /// Builds the shared state of replica `replica` (e.g. the repeat's system
   /// stack and its GT baseline). Called exactly once per replica index, in
@@ -179,26 +182,21 @@ StatusOr<RacingOutcome> RunRace(std::vector<std::string> arm_names,
                                 const RacingConfig& config,
                                 const RacingGridHooks& hooks);
 
-/// Racing drop-in for RunRepeatedComparison: methods are arms, repeats are
-/// replicas, the raced objective is the evaluation avg_reward (Eq 5).
-/// Replica r of every arm reuses RepeatConfig(base, r) — the exact seeds of
-/// fixed-mode repeat r — so a racing cell is bit-identical to its
-/// fixed-mode counterpart and racing with elimination disabled
-/// (min_replicas == max_replicas) reproduces RunRepeatedComparison's
-/// aggregate byte for byte (pinned by racing_test).
+/// The method comparison as a race: methods are arms, repeats are replicas,
+/// the raced objective is the evaluation avg_reward (Eq 5). Replica r of
+/// every arm runs on RepeatConfig(base, r). With min_replicas ==
+/// max_replicas the race is the fixed grid — one round, every arm runs every
+/// replica — which is how RunRepeatedComparison runs; racing_test pins its
+/// aggregate to the pre-racing golden bytes.
 struct RacedComparison {
   RacingOutcome outcome;
-  /// mean ± std over the replicas each arm actually ran (same reduction
-  /// pattern as RunRepeatedComparison, restricted per arm to its replicas).
+  /// mean ± std over the replicas each arm actually ran: one-sample
+  /// partials Merged in ascending replica order per arm.
   RepeatedComparison aggregate;
   /// Replica-0 row per method — every arm runs replica 0, so this is a
   /// complete report-shaped result set (bench_full_report --racing renders
   /// its figures from these rows).
   std::vector<MethodResult> first_replica;
-  /// GT-baseline evaluations run while preparing replicas (GT is evaluated
-  /// for every prepared replica as the vs_gt baseline even after the GT arm
-  /// is eliminated; eval-only, so far cheaper than a trained cell).
-  int64_t gt_baseline_runs = 0;
 };
 StatusOr<RacedComparison> RunRacingComparison(
     const FairMoveConfig& base_config, const std::vector<PolicyKind>& kinds,
@@ -230,8 +228,9 @@ void EmitRacingTelemetry(const std::string& race,
 
 /// Writes a fairmove.racing.v1 JSON document: wall-clock, cells/s, budget
 /// and the per-cell racing telemetry. `mode` is "racing" or
-/// "fixed-replicas" (fixed-mode callers report a degenerate outcome with
-/// uniform replica counts and no eliminations).
+/// "fixed-replicas" (a race with min_replicas == max_replicas: uniform
+/// replica counts, and an arm separated after the single round reads as
+/// eliminated in round 0).
 Status WriteRacingJson(const std::string& path, const std::string& race,
                        const std::string& mode, const RacingConfig& config,
                        const RacingOutcome& outcome, double wall_seconds);

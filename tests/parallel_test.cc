@@ -162,9 +162,10 @@ TEST(ShardedForwardTest, SmallBatchFallsBackToOneShard) {
 
 // ----------------------------------------------- evaluator method fan-out --
 
-// A replica-based parallel Run() must reproduce the serial shared-simulator
-// path bit for bit (MethodResult comparisons go through the derived
-// comparison metrics, which are doubles — EQ, not NEAR, on purpose).
+// Run()'s replica fan-out must reproduce, bit for bit, the same methods
+// trained and evaluated one after another on one shared simulator
+// (MethodResult comparisons go through the derived comparison metrics,
+// which are doubles — EQ, not NEAR, on purpose).
 TEST(ParallelEvaluatorTest, ReplicaRunMatchesSharedSimulatorRun) {
   const FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.03);
   const std::vector<PolicyKind> kinds = {PolicyKind::kGroundTruth,
@@ -173,7 +174,12 @@ TEST(ParallelEvaluatorTest, ReplicaRunMatchesSharedSimulatorRun) {
 
   auto system_a = std::move(FairMoveSystem::Create(cfg)).value();
   Evaluator serial = system_a->MakeEvaluator();
-  const std::vector<MethodResult> want = serial.Run(kinds);  // shared sim
+  std::vector<MethodResult> want = {serial.RunGroundTruth()};
+  const FleetMetrics gt_metrics = want[0].metrics;
+  for (size_t i = 1; i < kinds.size(); ++i) {  // kinds[0] is GT
+    auto policy = MakePolicy(kinds[i], system_a->sim(), 7000);
+    want.push_back(serial.RunOne(policy.get(), gt_metrics));  // shared sim
+  }
 
   SetGlobalThreads(4);
   auto system_b = std::move(FairMoveSystem::Create(cfg)).value();

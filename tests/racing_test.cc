@@ -51,6 +51,10 @@ TEST(RacingConfigTest, ValidateRejectsBadKnobs) {
   config = RacingConfig{};
   config.min_replicas = 1;  // CIs are undefined below 2 samples
   EXPECT_FALSE(config.Validate().ok());
+  config.max_replicas = 2;
+  EXPECT_FALSE(config.Validate().ok());
+  config.max_replicas = 1;  // ...but a one-replica grid eliminates nothing
+  EXPECT_TRUE(config.Validate().ok());
   config = RacingConfig{};
   config.batch = 0;
   EXPECT_FALSE(config.Validate().ok());

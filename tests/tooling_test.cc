@@ -185,6 +185,25 @@ TEST(RepeatedComparisonTest, AggregatesAcrossSeeds) {
   EXPECT_EQ(table.num_rows(), 2u);
 }
 
+// FAIRMOVE_REPEATS=1: a one-round race of one replica per method.
+TEST(RepeatedComparisonTest, OneRepeatRunsEveryMethodOnce) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  cfg.trainer.episodes = 1;
+  cfg.eval.days = 1;
+  auto result_or =
+      RunRepeatedComparison(cfg, {PolicyKind::kSd2}, /*repeats=*/1);
+  ASSERT_TRUE(result_or.ok()) << result_or.status();
+  const RepeatedComparison& result = result_or.value();
+  EXPECT_EQ(result.repeats, 1);
+  ASSERT_EQ(result.methods.size(), 2u);  // GT + SD2
+  EXPECT_EQ(result.methods[0].name, "GT");
+  EXPECT_EQ(result.methods[1].name, "SD2");
+  for (const RepeatedMethodResult& m : result.methods) {
+    EXPECT_EQ(m.pipe.count(), 1) << m.name;
+    EXPECT_EQ(m.reward.count(), 1) << m.name;
+  }
+}
+
 TEST(DriverGroupsByPerformanceTest, QuantilesSortByHustle) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.05);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
