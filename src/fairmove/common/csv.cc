@@ -229,14 +229,6 @@ StatusOr<Table> ParseCsv(const std::string& text) {
   return table;
 }
 
-StatusOr<Table> ReadCsvFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsv(buf.str());
-}
-
 StatusOr<Table> ParseCsvLenient(const std::string& text,
                                 CsvQuarantine* quarantine) {
   CsvQuarantine q;
@@ -274,15 +266,6 @@ StatusOr<Table> ParseCsvLenient(const std::string& text,
   }
   if (quarantine != nullptr) *quarantine = q;
   return table;
-}
-
-StatusOr<Table> ReadCsvFileLenient(const std::string& path,
-                                   CsvQuarantine* quarantine) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseCsvLenient(buf.str(), quarantine);
 }
 
 }  // namespace fairmove

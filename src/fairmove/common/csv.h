@@ -63,9 +63,6 @@ class Table {
 /// or embedded NUL bytes.
 StatusOr<Table> ParseCsv(const std::string& text);
 
-/// Reads and parses a CSV file.
-StatusOr<Table> ReadCsvFile(const std::string& path);
-
 /// What ParseCsvLenient skipped instead of failing on — the quarantine
 /// counters of a corrupted record stream.
 struct CsvQuarantine {
@@ -85,10 +82,6 @@ struct CsvQuarantine {
 /// the whole batch. `quarantine` may be nullptr.
 StatusOr<Table> ParseCsvLenient(const std::string& text,
                                 CsvQuarantine* quarantine = nullptr);
-
-/// Reads and leniently parses a CSV file.
-StatusOr<Table> ReadCsvFileLenient(const std::string& path,
-                                   CsvQuarantine* quarantine = nullptr);
 
 }  // namespace fairmove
 

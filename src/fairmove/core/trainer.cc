@@ -282,16 +282,8 @@ StatusOr<int> Trainer::RestoreRunState(std::string_view payload,
   FM_CHECK(policy != nullptr);
   FM_CHECK(stats != nullptr);
   BinaryReader in(payload);
-  uint32_t tag = 0, version = 0;
-  FM_RETURN_IF_ERROR(in.ReadU32(&tag));
-  if (tag != kTrainerStateTag) {
-    return Status::InvalidArgument("not a trainer state record (bad tag)");
-  }
-  FM_RETURN_IF_ERROR(in.ReadU32(&version));
-  if (version != kTrainerStateVersion) {
-    return Status::InvalidArgument("unsupported trainer state version " +
-                                   std::to_string(version));
-  }
+  FM_RETURN_IF_ERROR(ReadRecordHeader(&in, kTrainerStateTag,
+                                      kTrainerStateVersion, "trainer state"));
   int64_t episodes_done = 0;
   FM_RETURN_IF_ERROR(in.ReadI64(&episodes_done));
   if (episodes_done < 0 || episodes_done > config_.episodes) {

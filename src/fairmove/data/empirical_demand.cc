@@ -5,6 +5,7 @@
 
 #include "fairmove/common/config.h"
 #include "fairmove/common/csv.h"
+#include "fairmove/io/atomic_file.h"
 
 namespace fairmove {
 
@@ -52,8 +53,9 @@ StatusOr<EmpiricalDemandModel> EmpiricalDemandModel::FromTransactions(
 StatusOr<EmpiricalDemandModel> EmpiricalDemandModel::FromCsvFile(
     const City* city, const std::string& path, Options options,
     int64_t* quarantined) {
+  FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
   CsvQuarantine csv_quarantine;
-  FM_ASSIGN_OR_RETURN(Table table, ReadCsvFileLenient(path, &csv_quarantine));
+  FM_ASSIGN_OR_RETURN(Table table, ParseCsvLenient(text, &csv_quarantine));
   int64_t bad_rows = 0;
   FM_ASSIGN_OR_RETURN(std::vector<TransactionRecord> transactions,
                       TransactionRecordsFromTable(table, &bad_rows));

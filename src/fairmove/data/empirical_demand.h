@@ -46,7 +46,7 @@ class EmpiricalDemandModel : public DemandSource {
   /// Ingestion is hardened against corrupted record streams: truncated,
   /// mis-quoted, NUL-ridden, or non-numeric rows are quarantined (counted
   /// in `*quarantined` when non-null) and skipped; only a missing/broken
-  /// header or a fully quarantined file fails.
+  /// header or a fully quarantined file fails. A missing file is NotFound.
   static StatusOr<EmpiricalDemandModel> FromCsvFile(
       const City* city, const std::string& path, Options options,
       int64_t* quarantined = nullptr);

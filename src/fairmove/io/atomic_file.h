@@ -17,23 +17,6 @@ namespace fairmove {
 /// rename cannot degrade to copy) and is removed on failure.
 Status AtomicWriteFile(const std::string& path, std::string_view data);
 
-/// Object form of AtomicWriteFile for call sites that hold a destination
-/// open across several saves (model files, checkpoint members).
-class AtomicFileWriter {
- public:
-  explicit AtomicFileWriter(std::string path) : path_(std::move(path)) {}
-
-  /// Atomically replaces the destination with `data`.
-  Status Commit(std::string_view data) const {
-    return AtomicWriteFile(path_, data);
-  }
-
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 /// Reads the whole file into a string. NotFound when the file does not
 /// exist, IOError for any other failure.
 StatusOr<std::string> ReadFileToString(const std::string& path);

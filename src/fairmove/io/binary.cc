@@ -1,6 +1,7 @@
 #include "fairmove/io/binary.h"
 
 #include <array>
+#include <cstdio>
 #include <cstring>
 
 namespace fairmove {
@@ -193,6 +194,26 @@ Status BinaryReader::ReadString(std::string* out, uint64_t max_size) {
   out->assign(data_.data() + pos_, static_cast<size_t>(len));
   pos_ += static_cast<size_t>(len);
   return Status::OK();
+}
+
+Status ReadRecordTag(BinaryReader* in, uint32_t tag, std::string_view record) {
+  uint32_t got = 0;
+  FM_RETURN_IF_ERROR(in->ReadU32(&got));
+  if (got == tag) return Status::OK();
+  char hex[16];
+  std::snprintf(hex, sizeof(hex), "0x%08x", got);
+  return Status::InvalidArgument("not a " + std::string(record) +
+                                 " record (bad tag " + hex + ")");
+}
+
+Status ReadRecordHeader(BinaryReader* in, uint32_t tag, uint32_t version,
+                        std::string_view record) {
+  FM_RETURN_IF_ERROR(ReadRecordTag(in, tag, record));
+  uint32_t got = 0;
+  FM_RETURN_IF_ERROR(in->ReadU32(&got));
+  if (got == version) return Status::OK();
+  return Status::InvalidArgument("unsupported " + std::string(record) +
+                                 " record version " + std::to_string(got));
 }
 
 void WriteRngState(const Rng& rng, BinaryWriter* out) {

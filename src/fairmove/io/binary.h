@@ -1,6 +1,20 @@
 #ifndef FAIRMOVE_IO_BINARY_H_
 #define FAIRMOVE_IO_BINARY_H_
 
+// The one byte codec for everything FairMove persists. Every format below is
+// encoded with BinaryWriter and decoded with BinaryReader, so each is
+// little-endian on any host:
+//   FMCKPT1  checkpoint frame (resilience/checkpoint.h)
+//   TRN1     trainer run-state record, the FMCKPT1 payload (core/trainer)
+//   CA21, DQN1, TQL1, TBA1
+//            policy state records (DisplacementPolicy::SaveState)
+//   ADM1     Adam optimiser state (nn/adam), nested in CA21/DQN1/TBA1
+//   GRD1     DivergenceGuard state (resilience/divergence_guard), in CA21
+//   FMLP1    one network (Mlp::Save): a model file (CMA2C holds two, DQN
+//            one) and a length-prefixed member of CA21/DQN1/TBA1/GRD1
+//   FMTQ1    the TQL Q-table model file (TqlPolicy::SaveModel)
+//   FMFR1    flight-recorder dump (obs/flight_recorder.h)
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -91,6 +105,14 @@ class BinaryReader {
   std::string_view data_;
   size_t pos_ = 0;
 };
+
+/// Reads the u32 tag that opens a tagged record and checks it is `tag`.
+/// The InvalidArgument names `record` (e.g. "CMA2C state") and the bad tag.
+Status ReadRecordTag(BinaryReader* in, uint32_t tag, std::string_view record);
+/// Same for records whose tag is followed by a u32 format version, which
+/// must equal `version`.
+Status ReadRecordHeader(BinaryReader* in, uint32_t tag, uint32_t version,
+                        std::string_view record);
 
 /// Serializes an Rng stream position (Rng::State) into `out`; the exact
 /// mirror of ReadRngState. Used by every checkpointable component that owns

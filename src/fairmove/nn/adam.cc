@@ -38,7 +38,7 @@ void Adam::set_learning_rate(double lr) {
 
 namespace {
 
-// Tag + version of the Adam state record inside a checkpoint payload.
+// Tag of the Adam state record inside a checkpoint payload.
 constexpr uint32_t kAdamStateTag = 0x314D4441;  // "ADM1"
 
 void WriteGradients(const Mlp::Gradients& g, BinaryWriter* out) {
@@ -93,11 +93,7 @@ Status Adam::SaveState(BinaryWriter* out) const {
 }
 
 Status Adam::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kAdamStateTag) {
-    return Status::InvalidArgument("not an Adam state record (bad tag)");
-  }
+  FM_RETURN_IF_ERROR(ReadRecordTag(in, kAdamStateTag, "Adam state"));
   double lr = 0.0;
   int64_t t = 0, skipped = 0;
   FM_RETURN_IF_ERROR(in->ReadF64(&lr));

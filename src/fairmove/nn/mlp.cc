@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
-#include <ostream>
-#include <sstream>
+#include <string>
 #include <utility>
 
-#include "fairmove/io/atomic_file.h"
+#include "fairmove/io/binary.h"
 #include "fairmove/nn/simd.h"
 
 namespace fairmove {
@@ -365,111 +363,104 @@ size_t Mlp::num_parameters() const {
 }
 
 namespace {
-
 constexpr char kMlpMagic[5] = {'F', 'M', 'L', 'P', '1'};
-
-template <typename T>
-void WritePod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(T));
-  return static_cast<bool>(in);
-}
-
 }  // namespace
 
-Status Mlp::Serialize(std::ostream& out) const {
-  out.write(kMlpMagic, sizeof(kMlpMagic));
-  WritePod(out, static_cast<int32_t>(hidden_activation_));
-  WritePod(out, static_cast<int32_t>(sizes_.size()));
-  for (int s : sizes_) WritePod(out, static_cast<int32_t>(s));
+void Mlp::Save(BinaryWriter* out) const {
+  out->WriteBytes(kMlpMagic, sizeof(kMlpMagic));
+  out->WriteI32(static_cast<int32_t>(hidden_activation_));
+  out->WriteI32(static_cast<int32_t>(sizes_.size()));
+  for (int s : sizes_) out->WriteI32(s);
   for (size_t l = 0; l < weights_.size(); ++l) {
-    out.write(reinterpret_cast<const char*>(weights_[l].data()),
-              static_cast<std::streamsize>(weights_[l].size() *
-                                           sizeof(float)));
-    out.write(reinterpret_cast<const char*>(biases_[l].data()),
-              static_cast<std::streamsize>(biases_[l].size() *
-                                           sizeof(float)));
+    for (size_t i = 0; i < weights_[l].size(); ++i) {
+      out->WriteF32(weights_[l].data()[i]);
+    }
+    for (float b : biases_[l]) out->WriteF32(b);
   }
-  if (!out) return Status::IOError("MLP serialization write failed");
-  return Status::OK();
 }
 
-StatusOr<Mlp> Mlp::Deserialize(std::istream& in) {
+StatusOr<Mlp> Mlp::Load(BinaryReader* in) {
   char magic[sizeof(kMlpMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMlpMagic, sizeof(magic)) != 0) {
+  if (!in->ReadBytes(magic, sizeof(magic)).ok() ||
+      std::memcmp(magic, kMlpMagic, sizeof(magic)) != 0) {
     return Status::InvalidArgument("not an FMLP1 network blob");
   }
   int32_t activation = 0, num_sizes = 0;
-  if (!ReadPod(in, &activation) || !ReadPod(in, &num_sizes)) {
-    return Status::InvalidArgument("truncated MLP header");
-  }
+  FM_RETURN_IF_ERROR(in->ReadI32(&activation));
+  FM_RETURN_IF_ERROR(in->ReadI32(&num_sizes));
   if (activation < 0 || activation > 2 || num_sizes < 2 ||
       num_sizes > 64) {
     return Status::InvalidArgument("corrupt MLP header");
   }
   std::vector<int> sizes;
-  sizes.reserve(static_cast<size_t>(num_sizes));
+  uint64_t declared = 0;  // parameters; <= 63 * (2^20 + 1) * 2^20, no overflow
   for (int i = 0; i < num_sizes; ++i) {
     int32_t s = 0;
-    if (!ReadPod(in, &s) || s <= 0 || s > 1 << 20) {
+    FM_RETURN_IF_ERROR(in->ReadI32(&s));
+    if (s <= 0 || s > 1 << 20) {
       return Status::InvalidArgument("corrupt MLP layer size");
+    }
+    if (i > 0) {
+      declared += static_cast<uint64_t>(sizes.back() + 1) *
+                  static_cast<uint64_t>(s);
     }
     sizes.push_back(s);
   }
+  // The header is untrusted: a corrupt one could declare terabytes of
+  // parameters, so nothing is allocated until the bytes are known to exist.
+  if (declared > in->remaining() / sizeof(float)) {
+    return Status::InvalidArgument(
+        "truncated MLP parameters: header declares " +
+        std::to_string(declared) + ", blob holds " +
+        std::to_string(in->remaining() / sizeof(float)));
+  }
+  // Mirror of the Adam non-finite-gradient skip, applied at load time: a
+  // NaN/Inf parameter would poison every later forward pass silently, so a
+  // blob carrying one is rejected here instead of trusted.
+  const auto read_finite = [in](float* v, size_t layer) {
+    FM_RETURN_IF_ERROR(in->ReadF32(v));
+    if (std::isfinite(*v)) return Status::OK();
+    return Status::InvalidArgument("non-finite parameter in MLP blob (layer " +
+                                   std::to_string(layer) + ")");
+  };
   Mlp net(sizes, static_cast<Activation>(activation), /*seed=*/0);
   for (size_t l = 0; l < net.weights_.size(); ++l) {
-    in.read(reinterpret_cast<char*>(net.weights_[l].data()),
-            static_cast<std::streamsize>(net.weights_[l].size() *
-                                         sizeof(float)));
-    in.read(reinterpret_cast<char*>(net.biases_[l].data()),
-            static_cast<std::streamsize>(net.biases_[l].size() *
-                                         sizeof(float)));
-    if (!in) return Status::InvalidArgument("truncated MLP parameters");
-    // Mirror of the Adam non-finite-gradient skip, applied at load time: a
-    // NaN/Inf weight would poison every later forward pass silently, so a
-    // blob carrying one is rejected here instead of trusted.
     for (size_t i = 0; i < net.weights_[l].size(); ++i) {
-      if (!std::isfinite(net.weights_[l].data()[i])) {
-        return Status::InvalidArgument(
-            "non-finite weight in MLP blob (layer " + std::to_string(l) +
-            ")");
-      }
+      FM_RETURN_IF_ERROR(read_finite(&net.weights_[l].data()[i], l));
     }
-    for (float b : net.biases_[l]) {
-      if (!std::isfinite(b)) {
-        return Status::InvalidArgument(
-            "non-finite bias in MLP blob (layer " + std::to_string(l) + ")");
-      }
-    }
+    for (float& b : net.biases_[l]) FM_RETURN_IF_ERROR(read_finite(&b, l));
   }
   return net;
 }
 
-StatusOr<std::string> Mlp::SerializeToString() const {
-  std::ostringstream out;
-  FM_RETURN_IF_ERROR(Serialize(out));
-  return std::move(out).str();
+StatusOr<Mlp> LoadNetLike(BinaryReader* in, const Mlp& like,
+                          std::string_view what) {
+  FM_ASSIGN_OR_RETURN(Mlp net, Mlp::Load(in));
+  // The full architecture, not just the outer dims: a net with the right
+  // input/output widths but foreign hidden layers or activation (e.g. a
+  // DQN-shaped net offered as an actor) would load and behave arbitrarily.
+  if (net.layer_sizes() != like.layer_sizes() ||
+      net.hidden_activation() != like.hidden_activation()) {
+    return Status::InvalidArgument(
+        std::string(what) +
+        " does not match this policy's architecture (layer sizes or "
+        "hidden activation)");
+  }
+  return net;
 }
 
-StatusOr<Mlp> Mlp::DeserializeFromString(const std::string& blob) {
-  std::istringstream in(blob);
-  return Deserialize(in);
+void WriteNet(const Mlp& net, BinaryWriter* out) {
+  BinaryWriter blob;
+  net.Save(&blob);
+  out->WriteString(blob.str());
 }
 
-Status Mlp::SaveToFile(const std::string& path) const {
-  FM_ASSIGN_OR_RETURN(const std::string blob, SerializeToString());
-  return AtomicWriteFile(path, blob);
-}
-
-StatusOr<Mlp> Mlp::LoadFromFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  return Deserialize(in);
+StatusOr<Mlp> ReadNetLike(BinaryReader* in, const Mlp& like,
+                          std::string_view what) {
+  std::string blob;
+  FM_RETURN_IF_ERROR(in->ReadString(&blob));
+  BinaryReader blob_in(blob);
+  return LoadNetLike(&blob_in, like, what);
 }
 
 void MaskedSoftmax(const std::vector<bool>& valid,

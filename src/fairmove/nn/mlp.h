@@ -1,7 +1,7 @@
 #ifndef FAIRMOVE_NN_MLP_H_
 #define FAIRMOVE_NN_MLP_H_
 
-#include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "fairmove/common/parallel.h"
@@ -9,6 +9,9 @@
 #include "fairmove/nn/matrix.h"
 
 namespace fairmove {
+
+class BinaryReader;
+class BinaryWriter;
 
 enum class Activation : uint8_t { kLinear = 0, kRelu = 1, kTanh = 2 };
 
@@ -114,19 +117,16 @@ class Mlp {
 
   size_t num_parameters() const;
 
-  // --- Serialization ------------------------------------------------------
-  /// Writes the architecture and parameters in a small binary format
-  /// ("FMLP1"). Stream variants allow packing several networks (e.g. an
-  /// actor-critic pair) into one file.
-  Status Serialize(std::ostream& out) const;
-  static StatusOr<Mlp> Deserialize(std::istream& in);
-  /// String-blob variants (checkpoint payload members, guard snapshots).
-  StatusOr<std::string> SerializeToString() const;
-  static StatusOr<Mlp> DeserializeFromString(const std::string& blob);
-  /// SaveToFile is atomic (tmp + fsync + rename): a crash mid-save leaves
-  /// either the previous complete file or the new one, never a truncation.
-  Status SaveToFile(const std::string& path) const;
-  static StatusOr<Mlp> LoadFromFile(const std::string& path);
+  // --- Serialization (FMLP1, via io/binary) -----------------------------
+  /// Appends the FMLP1 encoding: magic "FMLP1", i32 hidden activation, i32
+  /// layer count, one i32 per layer size, then each layer's weights followed
+  /// by its biases as f32. Several networks may follow one another in one
+  /// writer (the CMA2C model file holds the actor, then the critic).
+  void Save(BinaryWriter* out) const;
+  /// Mirror of Save. Rejects a bad magic, a corrupt header, a header that
+  /// declares more parameters than the bytes left (checked before anything
+  /// is allocated), and any non-finite parameter.
+  static StatusOr<Mlp> Load(BinaryReader* in);
 
  private:
   void ApplyActivation(Matrix* m, bool is_last) const;
@@ -145,6 +145,18 @@ class Mlp {
   std::vector<Matrix> weights_;             // [in x out] per layer
   std::vector<std::vector<float>> biases_;  // [out] per layer
 };
+
+/// Mlp::Load, then checks that the network has `like`'s layer sizes and
+/// hidden activation; `what` names it in the error ("actor", "Q-network").
+StatusOr<Mlp> LoadNetLike(BinaryReader* in, const Mlp& like,
+                          std::string_view what);
+
+/// Writes `net` as one length-prefixed FMLP1 blob: how a network nests
+/// inside the CA21/DQN1/TBA1 state records.
+void WriteNet(const Mlp& net, BinaryWriter* out);
+/// Mirror of WriteNet, with LoadNetLike's architecture check.
+StatusOr<Mlp> ReadNetLike(BinaryReader* in, const Mlp& like,
+                          std::string_view what);
 
 /// Branch-free tanh used by the kTanh hidden activation. Evaluates
 /// (e - 1) / (e + 1) with e = exp(2x) built from a degree-6 polynomial

@@ -1,7 +1,6 @@
 #include "fairmove/resilience/divergence_guard.h"
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 #include "fairmove/io/binary.h"
@@ -31,9 +30,9 @@ Status DivergenceGuard::Checkpoint() {
   std::vector<std::string> fresh;
   fresh.reserve(nets_.size());
   for (const Mlp* net : nets_) {
-    std::ostringstream out;
-    FM_RETURN_IF_ERROR(net->Serialize(out));
-    fresh.push_back(std::move(out).str());
+    BinaryWriter out;
+    net->Save(&out);
+    fresh.push_back(out.Release());
   }
   snapshots_ = std::move(fresh);
   return Status::OK();
@@ -62,8 +61,8 @@ Status DivergenceGuard::OnDivergence(const std::string& why) {
         "registered networks");
   }
   for (size_t i = 0; i < nets_.size(); ++i) {
-    std::istringstream in(snapshots_[i]);
-    FM_ASSIGN_OR_RETURN(Mlp restored, Mlp::Deserialize(in));
+    BinaryReader in(snapshots_[i]);
+    FM_ASSIGN_OR_RETURN(Mlp restored, Mlp::Load(&in));
     *nets_[i] = std::move(restored);
   }
   ++consecutive_rollbacks_;
@@ -97,12 +96,8 @@ Status DivergenceGuard::SaveState(BinaryWriter* out) const {
 }
 
 Status DivergenceGuard::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kGuardStateTag) {
-    return Status::InvalidArgument(
-        "not a DivergenceGuard state record (bad tag)");
-  }
+  FM_RETURN_IF_ERROR(
+      ReadRecordTag(in, kGuardStateTag, "DivergenceGuard state"));
   double lr_scale = 0.0;
   int32_t consecutive = 0, code = 0;
   int64_t total = 0;
@@ -140,8 +135,8 @@ Status DivergenceGuard::RestoreState(BinaryReader* in) {
     std::string blob;
     FM_RETURN_IF_ERROR(in->ReadString(&blob));
     // Snapshots must be valid networks now, not at the next rollback.
-    std::istringstream check(blob);
-    FM_RETURN_IF_ERROR(Mlp::Deserialize(check).status());
+    BinaryReader check(blob);
+    FM_RETURN_IF_ERROR(Mlp::Load(&check).status());
     snapshots.push_back(std::move(blob));
   }
   lr_scale_ = lr_scale;

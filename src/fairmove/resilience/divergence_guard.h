@@ -81,7 +81,7 @@ class DivergenceGuard {
  private:
   Options options_;
   std::vector<Mlp*> nets_;
-  std::vector<std::string> snapshots_;  // serialized blob per net
+  std::vector<std::string> snapshots_;  // FMLP1 blob per net
   int consecutive_rollbacks_ = 0;
   int64_t total_rollbacks_ = 0;
   double lr_scale_ = 1.0;

@@ -1,10 +1,8 @@
 #include "fairmove/rl/cma2c_policy.h"
 
 #include <algorithm>
-#include <fstream>
 #include <cmath>
 #include <span>
-#include <sstream>
 #include <utility>
 
 #include "fairmove/io/atomic_file.h"
@@ -19,30 +17,6 @@ namespace fairmove {
 namespace {
 constexpr uint32_t kCma2cStateTag = 0x31324143;  // "CA21"
 constexpr uint32_t kCma2cStateVersion = 1;
-
-/// Serializes a network as a length-prefixed FMLP1 blob.
-Status WriteNet(const Mlp& net, BinaryWriter* out) {
-  FM_ASSIGN_OR_RETURN(const std::string blob, net.SerializeToString());
-  out->WriteString(blob);
-  return Status::OK();
-}
-
-/// Reads a length-prefixed FMLP1 blob and validates it against `like`'s
-/// architecture before handing it back.
-StatusOr<Mlp> ReadNetLike(BinaryReader* in, const Mlp& like,
-                          const char* what) {
-  std::string blob;
-  FM_RETURN_IF_ERROR(in->ReadString(&blob));
-  FM_ASSIGN_OR_RETURN(Mlp net, Mlp::DeserializeFromString(blob));
-  if (net.layer_sizes() != like.layer_sizes() ||
-      net.hidden_activation() != like.hidden_activation()) {
-    return Status::InvalidArgument(
-        std::string("checkpointed ") + what +
-        " does not match this policy's architecture");
-  }
-  return net;
-}
-
 }  // namespace
 
 Cma2cPolicy::Cma2cPolicy(const Simulator& sim)
@@ -120,30 +94,18 @@ void Cma2cPolicy::DecideActions(const Simulator& sim,
 Status Cma2cPolicy::SaveModel(const std::string& path) const {
   // Atomic replacement: an interrupted save can never clobber a good model
   // file with a truncated actor/critic pair.
-  std::ostringstream out;
-  FM_RETURN_IF_ERROR(actor_->Serialize(out));
-  FM_RETURN_IF_ERROR(critic_->Serialize(out));
-  return AtomicFileWriter(path).Commit(std::move(out).str());
+  BinaryWriter out;
+  actor_->Save(&out);
+  critic_->Save(&out);
+  return AtomicWriteFile(path, out.str());
 }
 
 Status Cma2cPolicy::LoadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
-  FM_ASSIGN_OR_RETURN(Mlp actor, Mlp::Deserialize(in));
-  FM_ASSIGN_OR_RETURN(Mlp critic, Mlp::Deserialize(in));
-  // Validate the full architecture of both networks, not just the outer
-  // dims: a blob with the right input/output widths but foreign hidden
-  // layers or activation (e.g. a DQN-shaped net) would load "successfully"
-  // and then behave arbitrarily.
-  if (actor.layer_sizes() != actor_->layer_sizes() ||
-      actor.hidden_activation() != actor_->hidden_activation() ||
-      critic.layer_sizes() != critic_->layer_sizes() ||
-      critic.hidden_activation() != critic_->hidden_activation() ||
-      critic.output_dim() != 1) {
-    return Status::InvalidArgument(
-        "saved model does not match this policy's architecture "
-        "(layer sizes, activation, or critic head)");
-  }
+  FM_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  BinaryReader in(bytes);
+  FM_ASSIGN_OR_RETURN(Mlp actor, LoadNetLike(&in, *actor_, "saved actor"));
+  FM_ASSIGN_OR_RETURN(Mlp critic,
+                      LoadNetLike(&in, *critic_, "saved critic"));
   *actor_ = std::move(actor);
   *critic_ = std::move(critic);
   critic_target_->CopyParametersFrom(*critic_);
@@ -153,9 +115,9 @@ Status Cma2cPolicy::LoadModel(const std::string& path) {
 Status Cma2cPolicy::SaveState(BinaryWriter* out) const {
   out->WriteU32(kCma2cStateTag);
   out->WriteU32(kCma2cStateVersion);
-  FM_RETURN_IF_ERROR(WriteNet(*actor_, out));
-  FM_RETURN_IF_ERROR(WriteNet(*critic_, out));
-  FM_RETURN_IF_ERROR(WriteNet(*critic_target_, out));
+  WriteNet(*actor_, out);
+  WriteNet(*critic_, out);
+  WriteNet(*critic_target_, out);
   FM_RETURN_IF_ERROR(actor_opt_->SaveState(out));
   FM_RETURN_IF_ERROR(critic_opt_->SaveState(out));
   WriteRngState(rng_, out);
@@ -166,23 +128,15 @@ Status Cma2cPolicy::SaveState(BinaryWriter* out) const {
   // The transition buffer accumulates across episode boundaries (it drains
   // only when batch_size fills), so it is part of the resumable state.
   out->WriteU64(buffer_.size());
-  for (const Transition& t : buffer_) WriteTransition(t, out);
+  WriteTransitions(buffer_, out);
   out->WriteBool(guard_ != nullptr);
   if (guard_ != nullptr) FM_RETURN_IF_ERROR(guard_->SaveState(out));
   return Status::OK();
 }
 
 Status Cma2cPolicy::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0, version = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kCma2cStateTag) {
-    return Status::InvalidArgument("not a CMA2C state record (bad tag)");
-  }
-  FM_RETURN_IF_ERROR(in->ReadU32(&version));
-  if (version != kCma2cStateVersion) {
-    return Status::InvalidArgument("unsupported CMA2C state version " +
-                                   std::to_string(version));
-  }
+  FM_RETURN_IF_ERROR(
+      ReadRecordHeader(in, kCma2cStateTag, kCma2cStateVersion, "CMA2C state"));
   FM_ASSIGN_OR_RETURN(Mlp actor, ReadNetLike(in, *actor_, "actor"));
   FM_ASSIGN_OR_RETURN(Mlp critic, ReadNetLike(in, *critic_, "critic"));
   FM_ASSIGN_OR_RETURN(Mlp target,
@@ -205,12 +159,7 @@ Status Cma2cPolicy::RestoreState(BinaryReader* in) {
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
   std::vector<Transition> buffer;
-  buffer.reserve(std::min<uint64_t>(buffered, options_.batch_size * 2));
-  for (uint64_t i = 0; i < buffered; ++i) {
-    Transition t;
-    FM_RETURN_IF_ERROR(ReadTransition(in, &t));
-    buffer.push_back(std::move(t));
-  }
+  FM_RETURN_IF_ERROR(ReadTransitions(in, buffered, &buffer));
   buffer_ = std::move(buffer);
   bool has_guard = false;
   FM_RETURN_IF_ERROR(in->ReadBool(&has_guard));

@@ -91,8 +91,10 @@ class Cma2cPolicy : public DisplacementPolicy {
     return &last_features_;
   }
 
-  /// Persists the trained actor and critic (one file, written atomically);
-  /// LoadModel restores them into an identically configured policy.
+  /// Persists the trained actor and critic as two FMLP1 blobs in one file,
+  /// written atomically. Weights only: the sampling RNG is not saved.
+  /// LoadModel restores them into an identically configured policy and
+  /// changes nothing unless both load (NotFound for a missing file).
   Status SaveModel(const std::string& path) const;
   Status LoadModel(const std::string& path);
 

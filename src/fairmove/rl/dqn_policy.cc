@@ -1,10 +1,10 @@
 #include "fairmove/rl/dqn_policy.h"
 
 #include <algorithm>
-#include <fstream>
 #include <string>
 #include <utility>
 
+#include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
 #include "fairmove/sim/simulator.h"
 
@@ -13,27 +13,6 @@ namespace fairmove {
 namespace {
 constexpr uint32_t kDqnStateTag = 0x314E5144;  // "DQN1"
 constexpr uint32_t kDqnStateVersion = 1;
-
-Status WriteNet(const Mlp& net, BinaryWriter* out) {
-  FM_ASSIGN_OR_RETURN(const std::string blob, net.SerializeToString());
-  out->WriteString(blob);
-  return Status::OK();
-}
-
-StatusOr<Mlp> ReadNetLike(BinaryReader* in, const Mlp& like,
-                          const char* what) {
-  std::string blob;
-  FM_RETURN_IF_ERROR(in->ReadString(&blob));
-  FM_ASSIGN_OR_RETURN(Mlp net, Mlp::DeserializeFromString(blob));
-  if (net.layer_sizes() != like.layer_sizes() ||
-      net.hidden_activation() != like.hidden_activation()) {
-    return Status::InvalidArgument(
-        std::string("checkpointed ") + what +
-        " does not match this policy's architecture");
-  }
-  return net;
-}
-
 }  // namespace
 
 DqnPolicy::DqnPolicy(const Simulator& sim) : DqnPolicy(sim, Options()) {}
@@ -118,17 +97,15 @@ void DqnPolicy::DecideActions(const Simulator& sim,
 }
 
 Status DqnPolicy::SaveModel(const std::string& path) const {
-  return q_net_->SaveToFile(path);
+  BinaryWriter out;
+  q_net_->Save(&out);
+  return AtomicWriteFile(path, out.str());
 }
 
 Status DqnPolicy::LoadModel(const std::string& path) {
-  FM_ASSIGN_OR_RETURN(Mlp net, Mlp::LoadFromFile(path));
-  if (net.layer_sizes() != q_net_->layer_sizes() ||
-      net.hidden_activation() != q_net_->hidden_activation()) {
-    return Status::InvalidArgument(
-        "saved model does not match this policy's architecture "
-        "(layer sizes or activation)");
-  }
+  FM_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  BinaryReader in(bytes);
+  FM_ASSIGN_OR_RETURN(Mlp net, LoadNetLike(&in, *q_net_, "saved Q-network"));
   *q_net_ = std::move(net);
   target_net_->CopyParametersFrom(*q_net_);
   return Status::OK();
@@ -137,8 +114,8 @@ Status DqnPolicy::LoadModel(const std::string& path) {
 Status DqnPolicy::SaveState(BinaryWriter* out) const {
   out->WriteU32(kDqnStateTag);
   out->WriteU32(kDqnStateVersion);
-  FM_RETURN_IF_ERROR(WriteNet(*q_net_, out));
-  FM_RETURN_IF_ERROR(WriteNet(*target_net_, out));
+  WriteNet(*q_net_, out);
+  WriteNet(*target_net_, out);
   FM_RETURN_IF_ERROR(optimizer_->SaveState(out));
   FM_RETURN_IF_ERROR(replay_.SaveState(out));
   WriteRngState(rng_, out);
@@ -148,16 +125,8 @@ Status DqnPolicy::SaveState(BinaryWriter* out) const {
 }
 
 Status DqnPolicy::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0, version = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kDqnStateTag) {
-    return Status::InvalidArgument("not a DQN state record (bad tag)");
-  }
-  FM_RETURN_IF_ERROR(in->ReadU32(&version));
-  if (version != kDqnStateVersion) {
-    return Status::InvalidArgument("unsupported DQN state version " +
-                                   std::to_string(version));
-  }
+  FM_RETURN_IF_ERROR(
+      ReadRecordHeader(in, kDqnStateTag, kDqnStateVersion, "DQN state"));
   FM_ASSIGN_OR_RETURN(Mlp q_net, ReadNetLike(in, *q_net_, "Q-network"));
   FM_ASSIGN_OR_RETURN(Mlp target,
                       ReadNetLike(in, *target_net_, "target network"));

@@ -67,8 +67,9 @@ class DqnPolicy : public DisplacementPolicy {
   double CurrentEpsilon() const;
   size_t replay_size() const { return replay_.size(); }
 
-  /// Persists / restores the trained Q-network (the target net is re-synced
-  /// on load). The save is atomic (tmp + fsync + rename).
+  /// Persists / restores the trained Q-network as one bare FMLP1 blob (the
+  /// target net is re-synced on load). The save is atomic (tmp + fsync +
+  /// rename); a failed load changes nothing.
   Status SaveModel(const std::string& path) const;
   Status LoadModel(const std::string& path);
 

@@ -75,11 +75,26 @@ Status ReadTransition(BinaryReader* in, DisplacementPolicy::Transition* t) {
   return Status::OK();
 }
 
+void WriteTransitions(const std::vector<DisplacementPolicy::Transition>& ts,
+                      BinaryWriter* out) {
+  for (const auto& t : ts) WriteTransition(t, out);
+}
+
+Status ReadTransitions(BinaryReader* in, uint64_t count,
+                       std::vector<DisplacementPolicy::Transition>* out) {
+  for (uint64_t i = 0; i < count; ++i) {
+    DisplacementPolicy::Transition t;
+    FM_RETURN_IF_ERROR(ReadTransition(in, &t));
+    out->push_back(std::move(t));
+  }
+  return Status::OK();
+}
+
 Status ReplayBuffer::SaveState(BinaryWriter* out) const {
   out->WriteU64(capacity_);
   out->WriteU64(size_);
   out->WriteU64(next_);
-  for (const auto& t : data_) WriteTransition(t, out);
+  WriteTransitions(data_, out);
   return Status::OK();
 }
 
@@ -102,11 +117,7 @@ Status ReplayBuffer::RestoreState(BinaryReader* in) {
   }
   std::vector<DisplacementPolicy::Transition> data;
   data.reserve(capacity);
-  for (uint64_t i = 0; i < size; ++i) {
-    DisplacementPolicy::Transition t;
-    FM_RETURN_IF_ERROR(ReadTransition(in, &t));
-    data.push_back(std::move(t));
-  }
+  FM_RETURN_IF_ERROR(ReadTransitions(in, size, &data));
   data_ = std::move(data);
   size_ = static_cast<size_t>(size);
   next_ = static_cast<size_t>(next);

@@ -16,6 +16,15 @@ namespace fairmove {
 void WriteTransition(const DisplacementPolicy::Transition& t,
                      BinaryWriter* out);
 Status ReadTransition(BinaryReader* in, DisplacementPolicy::Transition* t);
+/// Each transition of `ts` in turn, as WriteTransition. The count belongs to
+/// the enclosing record: a u64 prefix in the CMA2C/TBA batch buffers, the
+/// size field of the replay ring.
+void WriteTransitions(const std::vector<DisplacementPolicy::Transition>& ts,
+                      BinaryWriter* out);
+/// Reads `count` transitions and appends them to `out`. A corrupt count
+/// fails at the end of the data instead of allocating up front.
+Status ReadTransitions(BinaryReader* in, uint64_t count,
+                       std::vector<DisplacementPolicy::Transition>* out);
 
 /// Fixed-capacity uniform-sampling experience replay (for DQN). New
 /// transitions overwrite the oldest once the ring is full.

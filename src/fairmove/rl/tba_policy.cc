@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numbers>
 #include <span>
-#include <string>
 #include <utility>
 
 #include "fairmove/io/binary.h"
@@ -102,37 +101,20 @@ void TbaPolicy::DecideActions(const Simulator& sim,
 Status TbaPolicy::SaveState(BinaryWriter* out) const {
   out->WriteU32(kTbaStateTag);
   out->WriteU32(kTbaStateVersion);
-  FM_ASSIGN_OR_RETURN(const std::string blob, net_->SerializeToString());
-  out->WriteString(blob);
+  WriteNet(*net_, out);
   FM_RETURN_IF_ERROR(optimizer_->SaveState(out));
   WriteRngState(rng_, out);
   out->WriteF64(baseline_);
   out->WriteBool(baseline_init_);
   out->WriteU64(buffer_.size());
-  for (const Transition& t : buffer_) WriteTransition(t, out);
+  WriteTransitions(buffer_, out);
   return Status::OK();
 }
 
 Status TbaPolicy::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0, version = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kTbaStateTag) {
-    return Status::InvalidArgument("not a TBA state record (bad tag)");
-  }
-  FM_RETURN_IF_ERROR(in->ReadU32(&version));
-  if (version != kTbaStateVersion) {
-    return Status::InvalidArgument("unsupported TBA state version " +
-                                   std::to_string(version));
-  }
-  std::string blob;
-  FM_RETURN_IF_ERROR(in->ReadString(&blob));
-  FM_ASSIGN_OR_RETURN(Mlp net, Mlp::DeserializeFromString(blob));
-  if (net.layer_sizes() != net_->layer_sizes() ||
-      net.hidden_activation() != net_->hidden_activation()) {
-    return Status::InvalidArgument(
-        "checkpointed TBA network does not match this policy's "
-        "architecture");
-  }
+  FM_RETURN_IF_ERROR(
+      ReadRecordHeader(in, kTbaStateTag, kTbaStateVersion, "TBA state"));
+  FM_ASSIGN_OR_RETURN(Mlp net, ReadNetLike(in, *net_, "TBA network"));
   *net_ = std::move(net);
   FM_RETURN_IF_ERROR(optimizer_->RestoreState(in));
   FM_RETURN_IF_ERROR(ReadRngState(in, &rng_));
@@ -146,12 +128,7 @@ Status TbaPolicy::RestoreState(BinaryReader* in) {
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
   std::vector<Transition> buffer;
-  buffer.reserve(std::min<uint64_t>(buffered, options_.batch_size * 2));
-  for (uint64_t i = 0; i < buffered; ++i) {
-    Transition t;
-    FM_RETURN_IF_ERROR(ReadTransition(in, &t));
-    buffer.push_back(std::move(t));
-  }
+  FM_RETURN_IF_ERROR(ReadTransitions(in, buffered, &buffer));
   baseline_ = baseline;
   baseline_init_ = baseline_init;
   buffer_ = std::move(buffer);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <utility>
 
@@ -12,6 +11,12 @@
 #include "fairmove/sim/simulator.h"
 
 namespace fairmove {
+
+namespace {
+constexpr char kTqlMagic[5] = {'F', 'M', 'T', 'Q', '1'};  // model file
+constexpr uint32_t kTqlStateTag = 0x314C5154;  // "TQL1"
+constexpr uint32_t kTqlStateVersion = 1;
+}  // namespace
 
 TqlPolicy::TqlPolicy(const Simulator& sim) : TqlPolicy(sim, Options()) {}
 
@@ -102,48 +107,35 @@ void TqlPolicy::DecideActions(const Simulator& sim,
   }
 }
 
-namespace {
-constexpr char kTqlMagic[5] = {'F', 'M', 'T', 'Q', '1'};
-}  // namespace
-
 Status TqlPolicy::SaveModel(const std::string& path) const {
-  std::string blob;
-  blob.reserve(sizeof(kTqlMagic) + 2 * sizeof(int32_t) +
-               table_.size() * sizeof(float));
-  blob.append(kTqlMagic, sizeof(kTqlMagic));
-  const int32_t regions = num_regions_, actions = num_actions_;
-  blob.append(reinterpret_cast<const char*>(&regions), sizeof(regions));
-  blob.append(reinterpret_cast<const char*>(&actions), sizeof(actions));
-  blob.append(reinterpret_cast<const char*>(table_.data()),
-              table_.size() * sizeof(float));
-  return AtomicFileWriter(path).Commit(blob);
+  BinaryWriter out;
+  out.WriteBytes(kTqlMagic, sizeof(kTqlMagic));
+  out.WriteI32(num_regions_);
+  out.WriteI32(num_actions_);
+  for (float q : table_) out.WriteF32(q);
+  return AtomicWriteFile(path, out.str());
 }
 
 Status TqlPolicy::LoadModel(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open for read: " + path);
+  FM_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  BinaryReader in(bytes);
   char magic[sizeof(kTqlMagic)];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kTqlMagic, sizeof(magic)) != 0) {
+  if (!in.ReadBytes(magic, sizeof(magic)).ok() ||
+      std::memcmp(magic, kTqlMagic, sizeof(magic)) != 0) {
     return Status::InvalidArgument("not an FMTQ1 Q-table blob");
   }
   int32_t regions = 0, actions = 0;
-  in.read(reinterpret_cast<char*>(&regions), sizeof(regions));
-  in.read(reinterpret_cast<char*>(&actions), sizeof(actions));
-  if (!in || regions != num_regions_ || actions != num_actions_) {
+  if (!in.ReadI32(&regions).ok() || !in.ReadI32(&actions).ok() ||
+      regions != num_regions_ || actions != num_actions_) {
     return Status::InvalidArgument(
         "saved Q-table does not match this policy's city/action space");
   }
-  in.read(reinterpret_cast<char*>(table_.data()),
-          static_cast<std::streamsize>(table_.size() * sizeof(float)));
-  if (!in) return Status::InvalidArgument("truncated Q-table blob");
+  // Into a temporary first: a truncated file must leave the table as it was.
+  std::vector<float> table(table_.size());
+  for (float& q : table) FM_RETURN_IF_ERROR(in.ReadF32(&q));
+  table_ = std::move(table);
   return Status::OK();
 }
-
-namespace {
-constexpr uint32_t kTqlStateTag = 0x314C5154;  // "TQL1"
-constexpr uint32_t kTqlStateVersion = 1;
-}  // namespace
 
 Status TqlPolicy::SaveState(BinaryWriter* out) const {
   out->WriteU32(kTqlStateTag);
@@ -157,16 +149,8 @@ Status TqlPolicy::SaveState(BinaryWriter* out) const {
 }
 
 Status TqlPolicy::RestoreState(BinaryReader* in) {
-  uint32_t tag = 0, version = 0;
-  FM_RETURN_IF_ERROR(in->ReadU32(&tag));
-  if (tag != kTqlStateTag) {
-    return Status::InvalidArgument("not a TQL state record (bad tag)");
-  }
-  FM_RETURN_IF_ERROR(in->ReadU32(&version));
-  if (version != kTqlStateVersion) {
-    return Status::InvalidArgument("unsupported TQL state version " +
-                                   std::to_string(version));
-  }
+  FM_RETURN_IF_ERROR(
+      ReadRecordHeader(in, kTqlStateTag, kTqlStateVersion, "TQL state"));
   int32_t regions = 0, actions = 0;
   FM_RETURN_IF_ERROR(in->ReadI32(&regions));
   FM_RETURN_IF_ERROR(in->ReadI32(&actions));

@@ -44,8 +44,9 @@ class TqlPolicy : public DisplacementPolicy {
   /// Q value accessor (tests).
   float Q(int hour, RegionId region, int soc_bucket, int action) const;
 
-  /// Persists / restores the Q table (binary; dimensions are checked on
-  /// load; the save is atomic).
+  /// Persists / restores the Q table as FMTQ1: magic "FMTQ1", i32 regions,
+  /// i32 actions, then the table as f32. Dimensions are checked on load, a
+  /// failed load leaves the table unchanged, and the save is atomic.
   Status SaveModel(const std::string& path) const;
   Status LoadModel(const std::string& path);
 

@@ -144,7 +144,7 @@ TEST(BinaryCodecTest, RejectsMalformedBool) {
   EXPECT_FALSE(r.ReadBool(&b).ok());
 }
 
-// --------------------------------------------------------- AtomicFileWriter --
+// ------------------------------------------------------------- atomic file --
 
 TEST(AtomicFileTest, WritesAndReplacesDurably) {
   const std::string dir = ScratchDir("atomic");
@@ -302,9 +302,14 @@ TEST(CheckpointStoreTest, EmptyDirectoryIsNotFound) {
 
 /// Trains `policy` briefly so optimizer moments / RNG streams / buffers are
 /// all non-trivial, then checks SaveState -> fresh policy -> RestoreState
-/// -> SaveState reproduces the byte-identical state.
+/// -> SaveState reproduces the byte-identical state. `size` and `crc` pin
+/// the trained state's bytes, so the encoder and its mirror cannot drift
+/// together unnoticed. A change that moves them changes a record format and
+/// needs a new tag or version, not new constants. They hold on the portable
+/// (non-FAIRMOVE_NATIVE) build at any thread count.
 template <typename MakePolicyFn>
-void CheckStateRoundTrip(MakePolicyFn make_policy) {
+void CheckStateRoundTrip(MakePolicyFn make_policy, size_t size,
+                         uint32_t crc) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   cfg.trainer.episodes = 2;
   cfg.trainer.slots_per_episode = 24;
@@ -313,7 +318,8 @@ void CheckStateRoundTrip(MakePolicyFn make_policy) {
   Trainer trainer = system->MakeTrainer();
   ASSERT_TRUE(trainer.TrainGuarded(policy.get(), nullptr).ok());
   const std::string bytes = StateBytes(*policy);
-  ASSERT_FALSE(bytes.empty());
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(Crc32(bytes), crc);
 
   auto restored = make_policy(system->sim());
   ASSERT_NE(StateBytes(*restored), bytes);  // fresh state really differs
@@ -334,7 +340,7 @@ TEST(PolicyStateTest, Cma2cRoundTripsBitExact) {
     auto policy = std::make_unique<Cma2cPolicy>(sim, opt);
     policy->EnableDivergenceGuard();
     return policy;
-  });
+  }, 14519, 0x8559414Du);  // CA21 + ADM1 + GRD1, nested FMLP1
 }
 
 TEST(PolicyStateTest, DqnRoundTripsBitExact) {
@@ -344,12 +350,13 @@ TEST(PolicyStateTest, DqnRoundTripsBitExact) {
     opt.min_replay = 64;
     opt.minibatch = 16;
     return std::make_unique<DqnPolicy>(sim, opt);
-  });
+  }, 11173262, 0x021BED3Eu);  // DQN1 + replay ring
 }
 
 TEST(PolicyStateTest, TqlRoundTripsBitExact) {
   CheckStateRoundTrip(
-      [](const Simulator& sim) { return std::make_unique<TqlPolicy>(sim); });
+      [](const Simulator& sim) { return std::make_unique<TqlPolicy>(sim); },
+      149257, 0xD4EA6A4Bu);
 }
 
 TEST(PolicyStateTest, TbaRoundTripsBitExact) {
@@ -358,7 +365,7 @@ TEST(PolicyStateTest, TbaRoundTripsBitExact) {
     opt.hidden = {8};
     opt.batch_size = 64;
     return std::make_unique<TbaPolicy>(sim, opt);
-  });
+  }, 3159, 0x5026E9ADu);
 }
 
 TEST(PolicyStateTest, Cma2cRefusesForeignAndGuardlessRestores) {

@@ -54,10 +54,6 @@ TEST(ParseCsvTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCsv("a\nbad\"quote\n").ok());
 }
 
-TEST(ParseCsvTest, ReadCsvFileMissingPathFails) {
-  EXPECT_FALSE(ReadCsvFile("/no/such/file.csv").ok());
-}
-
 TEST(ParseCsvTest, RejectsEmbeddedNulBytes) {
   const std::string nul_in_row = std::string("a,b\n1,2") + '\0' + "\n";
   EXPECT_FALSE(ParseCsv(nul_in_row).ok());
@@ -280,6 +276,14 @@ TEST_F(EmpiricalDemandTest, CsvRoundTrip) {
   EXPECT_EQ(model_or->observations(),
             static_cast<int64_t>(transactions_.size()));
   std::remove(path.c_str());
+}
+
+TEST_F(EmpiricalDemandTest, FromCsvFileMissingPathFails) {
+  const StatusOr<EmpiricalDemandModel> model =
+      EmpiricalDemandModel::FromCsvFile(&system_->city(), "/no/such/file.csv",
+                                        EmpiricalDemandModel::Options());
+  ASSERT_FALSE(model.ok());
+  EXPECT_EQ(model.status().code(), StatusCode::kNotFound) << model.status();
 }
 
 TEST_F(EmpiricalDemandTest, SurvivesCorruptedCsv) {

@@ -26,11 +26,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "fairmove/io/atomic_file.h"
 #include "fairmove/obs/json_parse.h"
 
 namespace fairmove {
@@ -71,13 +70,8 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
 }
 
 StatusOr<std::vector<BenchEntry>> LoadDocument(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return Status::NotFound("cannot open " + path);
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  StatusOr<JsonValue> doc_or = ParseJson(buf.str());
+  FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
+  StatusOr<JsonValue> doc_or = ParseJson(text);
   if (!doc_or.ok()) {
     return Status::InvalidArgument(path + ": " + doc_or.status().message());
   }

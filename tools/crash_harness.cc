@@ -124,7 +124,7 @@ int RunChild(const std::string& ckpt_dir, const std::string& result_path) {
                 "episodes=%zu\n",
                 Crc32(model.str()), Crc32(stats_blob.str()),
                 Crc32(metrics.str()), stats.size());
-  if (Status s = AtomicFileWriter(result_path).Commit(result); !s.ok()) {
+  if (Status s = AtomicWriteFile(result_path, result); !s.ok()) {
     std::fprintf(stderr, "child: result write failed: %s\n",
                  s.ToString().c_str());
     return 1;
@@ -178,6 +178,9 @@ int RunParent(const char* self, const std::string& scratch, int trials) {
     return 1;
   }
 
+  // Every run starts from an empty checkpoint directory: frames left by an
+  // earlier invocation would turn each run below into a no-op resume.
+  std::filesystem::remove_all(scratch + "/ckpt-ref", ec);
   // Uninterrupted reference run (also calibrates the kill times).
   const std::string ref_result = scratch + "/result-ref.txt";
   const ChildRun ref = SpawnChild(self, scratch + "/ckpt-ref", ref_result,
@@ -200,6 +203,7 @@ int RunParent(const char* self, const std::string& scratch, int trials) {
   int failures = 0;
   for (int trial = 0; trial < trials; ++trial) {
     const std::string dir = scratch + "/ckpt-" + std::to_string(trial);
+    std::filesystem::remove_all(dir, ec);
     const std::string result =
         scratch + "/result-" + std::to_string(trial) + ".txt";
     // Kill somewhere in the meat of the run (20%..90% of reference time).

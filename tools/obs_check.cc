@@ -22,13 +22,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "fairmove/common/macros.h"
 #include "fairmove/common/status.h"
+#include "fairmove/io/atomic_file.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/json_parse.h"
 #include "fairmove/obs/jsonl.h"
@@ -37,18 +37,10 @@
 namespace fairmove {
 namespace {
 
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
 /// Manifest (or any standalone JSON-object artefact): parse + check keys.
 Status CheckJsonObjectFile(const std::string& path,
                            const std::vector<std::string>& required_keys) {
-  FM_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
   FM_ASSIGN_OR_RETURN(const std::vector<std::string> keys,
                       JsonObjectKeys(text));
   for (const std::string& required : required_keys) {
@@ -272,7 +264,7 @@ Status CheckFlightDump(const std::string& path) {
 
 /// Chrome trace-event JSON (trace_export output): per-lane B/E balance.
 Status CheckTrace(const std::string& path) {
-  FM_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
   FM_RETURN_IF_ERROR(ValidateChromeTrace(text));
   std::printf("  ok  %-16s balanced trace-event JSON\n",
               std::filesystem::path(path).filename().c_str());
@@ -282,7 +274,7 @@ Status CheckTrace(const std::string& path) {
 /// export.json contract: the schema tag, and freshness fields a poller uses
 /// to distinguish a live exporter from a stale file.
 Status CheckExportJson(const std::string& path) {
-  FM_ASSIGN_OR_RETURN(const std::string text, ReadFile(path));
+  FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
   FM_ASSIGN_OR_RETURN(const JsonValue root, ParseJson(text));
   const std::string schema = root.StringOr("schema", "");
   if (schema != "fairmove.export.v1") {
@@ -366,7 +358,7 @@ Status CheckExportDir(const std::string& dir) {
   FM_RETURN_IF_ERROR(CheckExportJson(dir + "/export.json"));
   FM_RETURN_IF_ERROR(CheckWindowRows(dir + "/windows.jsonl"));
   const std::string prom = dir + "/metrics.prom";
-  FM_ASSIGN_OR_RETURN(const std::string prom_text, ReadFile(prom));
+  FM_ASSIGN_OR_RETURN(const std::string prom_text, ReadFileToString(prom));
   if (prom_text.empty() || prom_text[0] != '#') {
     return Status::InvalidArgument(prom + ": missing exposition header");
   }

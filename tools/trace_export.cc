@@ -18,8 +18,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "fairmove/common/macros.h"
@@ -30,14 +28,6 @@
 
 namespace fairmove {
 namespace {
-
-StatusOr<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
 
 std::string DefaultOutPath(const std::string& in_path) {
   std::filesystem::path p(in_path);
@@ -59,7 +49,8 @@ Status ExportFlight(const std::string& in_path, const std::string& out_path) {
 }
 
 Status ExportProfile(const std::string& in_path, const std::string& out_path) {
-  FM_ASSIGN_OR_RETURN(const std::string profile_json, ReadFile(in_path));
+  FM_ASSIGN_OR_RETURN(const std::string profile_json,
+                      ReadFileToString(in_path));
   FM_ASSIGN_OR_RETURN(const std::string trace,
                       ProfileJsonToChromeTrace(profile_json));
   FM_RETURN_IF_ERROR(ValidateChromeTrace(trace));
