@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
-#include <memory>
 
 #include "fairmove/common/config.h"
 
@@ -57,46 +56,39 @@ void ThreadPool::RecordQueueWait(int64_t wait_ns) {
   }
 }
 
-/// Shared state of one ParallelFor region. Lives on the heap behind a
-/// shared_ptr because helper tasks may be dequeued after the owning call
-/// already returned (they then find the work exhausted and exit without
-/// touching `fn`).
-struct ThreadPool::ForState {
-  ForState(int64_t total, const std::function<void(int64_t)>* f)
-      : n(total), fn(f) {}
+/// One ParallelFor call, on its caller's stack. A shared region is linked
+/// into the pool's open list; the caller unlinks it and waits until no
+/// worker is inside before returning, so no worker touches it afterwards.
+struct ThreadPool::Region {
+  Region(Body b, const void* f, int64_t count) : body(b), fn(f), n(count) {}
 
+  const Body body;
+  const void* const fn;
   const int64_t n;
-  /// Owned by the caller's frame; dangles once ParallelFor returns. Only
-  /// dereferenced after a successful index claim, which is impossible once
-  /// all indices are claimed — and ParallelFor only returns after all
-  /// claimed indices are done.
-  const std::function<void(int64_t)>* const fn;
-  std::atomic<int64_t> next{0};
-  std::atomic<int64_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
+  std::atomic<int64_t> next{0};  // next unclaimed index
+  // Guarded by the pool's mu_ (linked_ns is set before linking).
+  Region* next_open = nullptr;
+  int helpers = 0;               // workers inside the region
+  int64_t linked_ns = 0;         // link time while timing is enabled, else 0
+  std::condition_variable left;  // with mu_: the caller awaits helpers == 0
+  std::mutex error_mu;
   int64_t error_index = std::numeric_limits<int64_t>::max();
-  std::exception_ptr error;
+  std::exception_ptr error;  // of error_index, guarded by error_mu
 
-  /// Claims and runs indices until none are left.
-  void RunChunks() {
-    for (;;) {
-      const int64_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) return;
+  /// Runs the claimed index `i`, then claims and runs indices until none
+  /// are left; the one loop every lane runs. A throwing index does not stop
+  /// the loop: every index runs, and the lowest failing index's exception
+  /// is kept.
+  void RunFrom(int64_t i) {
+    for (; i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
       try {
-        (*fn)(i);
+        body(fn, i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(error_mu);
         if (i < error_index) {
           error_index = i;
           error = std::current_exception();
         }
-      }
-      // acq_rel so the caller's acquire read of `done` publishes every
-      // task's writes to its output slot.
-      if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
       }
     }
   }
@@ -115,60 +107,59 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown requested and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
+    // A worker joins a region only by claiming an index of it under mu_,
+    // so a caller never waits for a worker that came after the last claim.
+    Region* region = nullptr;
+    int64_t first = 0;
+    work_cv_.wait(lock, [&] {
+      for (region = open_; region != nullptr; region = region->next_open) {
+        first = region->next.fetch_add(1, std::memory_order_relaxed);
+        if (first < region->n) return true;
+      }
+      return shutdown_;
+    });
+    if (region == nullptr) return;  // shut down, nothing left open
+    ++region->helpers;
+    lock.unlock();
+    if (region->linked_ns != 0) RecordQueueWait(NowNs() - region->linked_ns);
+    region->RunFrom(first);
+    lock.lock();
+    // Under mu_: once the caller sees zero helpers, `region` is gone.
+    if (--region->helpers == 0) region->left.notify_one();
   }
 }
 
-void ThreadPool::ParallelFor(int64_t n,
-                             const std::function<void(int64_t)>& fn) {
+void ThreadPool::Run(int64_t n, Body body, const void* fn) {
   if (n <= 0) return;
-  if (num_threads_ == 1 || n == 1) {
-    // Exact serial path: no shared state, no workers, no atomics.
-    for (int64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  regions_.fetch_add(1, std::memory_order_relaxed);
-  tasks_.fetch_add(n, std::memory_order_relaxed);
-  auto state = std::make_shared<ForState>(n, &fn);
-  // At most n - 1 helpers; the caller is the remaining lane. Helpers that
-  // run after the work is exhausted claim nothing and exit immediately.
-  const int64_t helpers = std::min<int64_t>(num_threads_ - 1, n - 1);
-  const bool timing = TimingEnabled();
-  const int64_t enqueue_ns = timing ? NowNs() : 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int64_t h = 0; h < helpers; ++h) {
-      if (timing) {
-        queue_.emplace_back([this, state, enqueue_ns] {
-          RecordQueueWait(NowNs() - enqueue_ns);
-          state->RunChunks();
-        });
-      } else {
-        queue_.emplace_back([state] { state->RunChunks(); });
-      }
+  Region region(body, fn, n);
+  const bool shared = num_threads_ > 1 && n > 1;
+  if (shared) {
+    regions_.fetch_add(1, std::memory_order_relaxed);
+    tasks_.fetch_add(n, std::memory_order_relaxed);
+    region.linked_ns = TimingEnabled() ? NowNs() : 0;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      region.next_open = open_;
+      open_ = &region;
     }
+    work_cv_.notify_all();
   }
-  cv_.notify_all();
-  state->RunChunks();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == n;
-  });
-  if (state->error) std::rethrow_exception(state->error);
+  region.RunFrom(region.next.fetch_add(1, std::memory_order_relaxed));
+  if (shared) {
+    std::unique_lock<std::mutex> lock(mu_);
+    Region** link = &open_;
+    while (*link != &region) link = &(*link)->next_open;
+    *link = region.next_open;
+    region.left.wait(lock, [&] { return region.helpers == 0; });
+  }
+  if (region.error) std::rethrow_exception(region.error);
 }
 
 int EffectiveThreadCount() {

@@ -111,12 +111,6 @@ Simulator::Simulator(const City* city, const DemandSource* demand,
       trace_(config.trace_level),
       rng_(config.seed),
       fault_rng_(config.seed) {
-  // Capturing only `this` keeps the closure inside std::function's
-  // small-buffer storage: RunSharded never heap-allocates.
-  shard_runner_ = [this](int64_t shard) {
-    StallWatchdog::Heartbeat();
-    (this->*shard_body_)(static_cast<int>(shard));
-  };
   Reset();
 }
 
@@ -248,10 +242,6 @@ void Simulator::Reset(uint64_t seed_override) {
   calendar_far_.clear();
   due_bits_.assign((static_cast<size_t>(fleet_.size()) + 63) / 64, 0);
 
-  snap_avail_.assign(static_cast<size_t>(city_->num_stations()), 0);
-  snap_wait_.assign(static_cast<size_t>(city_->num_stations()), 0);
-  snap_occ_.assign(static_cast<size_t>(city_->num_stations()), 0);
-
   // Dispatch mode: precompute, per region, the other regions within the
   // radius (nearest first).
   dispatch_neighbors_.clear();
@@ -331,8 +321,10 @@ void Simulator::RunSlots(DisplacementPolicy* policy, int64_t slots) {
 }
 
 void Simulator::RunSharded(void (Simulator::*body)(int)) {
-  shard_body_ = body;
-  GlobalPool().ParallelFor(num_shards_, shard_runner_);
+  GlobalPool().ParallelFor(num_shards_, [this, body](int64_t shard) {
+    StallWatchdog::Heartbeat();
+    (this->*body)(static_cast<int>(shard));
+  });
 }
 
 // --- Arrival calendar ------------------------------------------------------
@@ -452,15 +444,6 @@ void Simulator::DispatchDueArrival(TaxiId id, size_t k, int64_t now) {
   shards_[static_cast<size_t>(target)].work.push_back(id);
 }
 
-void Simulator::SnapshotStationLoads() {
-  for (StationId s = 0; s < city_->num_stations(); ++s) {
-    const StationQueue& q = stations_[static_cast<size_t>(s)];
-    snap_avail_[static_cast<size_t>(s)] = q.available_points();
-    snap_wait_[static_cast<size_t>(s)] = q.waiting();
-    snap_occ_[static_cast<size_t>(s)] = q.occupied();
-  }
-}
-
 // --- Faults (serial) -------------------------------------------------------
 
 void Simulator::ApplyScheduledFaults() {
@@ -497,7 +480,7 @@ void Simulator::ApplyScheduledFaults() {
     // normal balking machinery so the taxis redirect instead of stranding.
     if (applied == 0) {
       for (TaxiId id : queue.DrainWaiting()) {
-        ArriveAtStationOrRenegeSerial(id);
+        ArriveAtStationOrRenege(id, nullptr);
       }
     }
   }
@@ -550,7 +533,6 @@ void Simulator::ApplyBreakdownHazard() {
 
 void Simulator::CompleteArrivals() {
   CollectDueArrivals();
-  SnapshotStationLoads();
   RunSharded(&Simulator::ArrivalsShard);
   // Ordered commit: queue joins, re-schedules and fault events land in
   // ascending shard order, then work order — a fixed total order at any
@@ -586,7 +568,7 @@ void Simulator::ArrivalsShard(int shard) {
         break;
       }
       case TaxiPhase::kToStation: {
-        ArriveAtStationOrRenegeSharded(id, sc);
+        ArriveAtStationOrRenege(id, &sc);
         break;
       }
       case TaxiPhase::kBrokenDown: {
@@ -1185,12 +1167,23 @@ void Simulator::ApplyAction(TaxiId taxi, const Action& action) {
   }
 }
 
-bool Simulator::ArriveAtStationOrRenegeSerial(TaxiId taxi) {
+void Simulator::ArriveAtStationOrRenege(TaxiId taxi, ShardScratch* outbox) {
+  // In a shard the join waits in the outbox, so same-slot co-arrivals don't
+  // see each other in the line — the deterministic analogue of drivers
+  // checking the charging app a few minutes before pulling in.
+  auto join_line = [&](StationId s) {
+    if (outbox != nullptr) {
+      outbox->enqueues.push_back({s, taxi});
+    } else {
+      stations_[static_cast<size_t>(s)].Enqueue(taxi);
+    }
+  };
   const size_t k = static_cast<size_t>(taxi);
   TaxiCold& cold = fleet_.cold[k];
-  const ChargingStation& st = city_->station(cold.station);
+  const StationId arrived_at = cold.station;
+  const ChargingStation& st = city_->station(arrived_at);
   fleet_.region[k] = st.region;
-  StationQueue& queue = stations_[static_cast<size_t>(cold.station)];
+  const StationQueue& queue = stations_[static_cast<size_t>(arrived_at)];
   // A dark station (fault-injection outage) can never plug anyone in, so
   // the taxi always tries to move on, ignoring the redirect budget.
   const bool dead = queue.available_points() == 0;
@@ -1204,7 +1197,7 @@ bool Simulator::ArriveAtStationOrRenegeSerial(TaxiId taxi) {
     StationId best = kInvalidStation;
     double best_cost = 1e18;
     for (StationId s : city_->NearestStations(st.region)) {
-      if (s == cold.station) continue;
+      if (s == arrived_at) continue;
       const StationQueue& alt = stations_[static_cast<size_t>(s)];
       if (alt.available_points() == 0) continue;  // also dark
       const double load =
@@ -1231,81 +1224,21 @@ bool Simulator::ArriveAtStationOrRenegeSerial(TaxiId taxi) {
         fleet_.region[k] = city_->station(best).region;
         fleet_.phase[k] = TaxiPhase::kQueuing;
         fleet_.busy_until[k] = now_.index;
-        stations_[static_cast<size_t>(best)].Enqueue(taxi);
-        return true;
-      }
-      fleet_.phase[k] = TaxiPhase::kToStation;
-      fleet_.busy_until[k] = now_.index + travel_slots;
-      ScheduleArrival(taxi, fleet_.busy_until[k]);
-      return false;
-    }
-  }
-  fleet_.phase[k] = TaxiPhase::kQueuing;
-  queue.Enqueue(taxi);
-  return true;
-}
-
-void Simulator::ArriveAtStationOrRenegeSharded(TaxiId taxi, ShardScratch& sc) {
-  // Snapshot variant: the balk decision reads the pre-phase station loads
-  // (same for every shard and thread count) and all queue joins go through
-  // the outbox. Same-slot co-arrivals therefore don't see each other in the
-  // line — the deterministic analogue of drivers checking the charging app
-  // a few minutes before pulling in.
-  const size_t k = static_cast<size_t>(taxi);
-  TaxiCold& cold = fleet_.cold[k];
-  const StationId arrived_at = cold.station;
-  const ChargingStation& st = city_->station(arrived_at);
-  fleet_.region[k] = st.region;
-  const bool dead = snap_avail_[static_cast<size_t>(arrived_at)] == 0;
-  const bool overloaded =
-      dead ||
-      snap_wait_[static_cast<size_t>(arrived_at)] >=
-          static_cast<int>(config_.renege_queue_factor *
-                           snap_avail_[static_cast<size_t>(arrived_at)]);
-  if (overloaded &&
-      (dead || cold.charge_redirects < config_.max_charge_redirects)) {
-    StationId best = kInvalidStation;
-    double best_cost = 1e18;
-    for (StationId s : city_->NearestStations(st.region)) {
-      if (s == arrived_at) continue;
-      const size_t si = static_cast<size_t>(s);
-      if (snap_avail_[si] == 0) continue;  // also dark
-      const double load =
-          static_cast<double>(snap_occ_[si] + snap_wait_[si]) /
-          snap_avail_[si];
-      const double travel = city_->TravelMinutesToStation(st.region, s);
-      const double cost = 30.0 * load + travel;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best = s;
-      }
-    }
-    if (best != kInvalidStation) {
-      cold.charge_redirects += 1;
-      const double travel_min =
-          city_->TravelMinutesToStation(st.region, best);
-      const double km = city_->DrivingKmToStation(st.region, best);
-      cold.km_driven += fleet_.ConsumeKm(taxi, km);
-      cold.session_travel_min += travel_min;
-      const int64_t travel_slots =
-          travel_min <= 0.0 ? 0 : MinutesToSlotsCeil(travel_min);
-      cold.charge_travel_slots += travel_slots;
-      cold.station = best;
-      if (travel_slots == 0) {
-        fleet_.region[k] = city_->station(best).region;
-        fleet_.phase[k] = TaxiPhase::kQueuing;
-        fleet_.busy_until[k] = now_.index;
-        sc.enqueues.push_back({best, taxi});
+        join_line(best);
         return;
       }
       fleet_.phase[k] = TaxiPhase::kToStation;
       fleet_.busy_until[k] = now_.index + travel_slots;
-      sc.schedule.push_back({fleet_.busy_until[k], taxi});
+      if (outbox != nullptr) {
+        outbox->schedule.push_back({fleet_.busy_until[k], taxi});
+      } else {
+        ScheduleArrival(taxi, fleet_.busy_until[k]);
+      }
       return;
     }
   }
   fleet_.phase[k] = TaxiPhase::kQueuing;
-  sc.enqueues.push_back({arrived_at, taxi});
+  join_line(arrived_at);
 }
 
 void Simulator::StartChargeTrip(TaxiId taxi, StationId station) {
@@ -1325,7 +1258,7 @@ void Simulator::StartChargeTrip(TaxiId taxi, StationId station) {
   if (travel_slots == 0) {
     // Station in the current region: arrive immediately (may balk).
     fleet_.busy_until[k] = now_.index;
-    ArriveAtStationOrRenegeSerial(taxi);
+    ArriveAtStationOrRenege(taxi, nullptr);
   } else {
     fleet_.phase[k] = TaxiPhase::kToStation;
     fleet_.busy_until[k] = now_.index + travel_slots;

@@ -1,7 +1,6 @@
 #ifndef FAIRMOVE_SIM_SIMULATOR_H_
 #define FAIRMOVE_SIM_SIMULATOR_H_
 
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -281,9 +280,6 @@ class Simulator {
   void CollectDueArrivals();
   /// Revalidates one due taxi and routes it to its shard's work list.
   void DispatchDueArrival(TaxiId id, size_t k, int64_t now);
-  /// Copies the station queue occupancy/line lengths into the snapshot
-  /// arrays the sharded arrival/balk decisions read.
-  void SnapshotStationLoads();
 
   /// Logs `event` in the trace and, when telemetry is on, as a structured
   /// fault row in sim.jsonl (plus a registry counter).
@@ -303,13 +299,14 @@ class Simulator {
   void DispatchRemoteMatches(TaxiId* pool, const int* offsets, int* sizes);
   void StartChargeTrip(TaxiId taxi, StationId station);
   /// Arrival at the taxi's target station: join the line, or balk and
-  /// redirect when it is overloaded. The serial variant reads live queues
-  /// and mutates them directly (fault rerouting, same-region charge
-  /// trips); the sharded variant reads the pre-phase snapshot and emits
-  /// enqueue/schedule ops into `sc`. Returns true if the taxi queued at
-  /// the station it arrived at.
-  bool ArriveAtStationOrRenegeSerial(TaxiId taxi);
-  void ArriveAtStationOrRenegeSharded(TaxiId taxi, ShardScratch& sc);
+  /// redirect when it is overloaded. The queue join and the re-schedule go
+  /// into `outbox` when given (ArrivalsShard), else straight to the station
+  /// queue and the arrival calendar (fault-drain rerouting, same-region
+  /// charge trips). The balk decision reads the live queues: a serial caller
+  /// sees the joins made earlier in its own loop, and during the arrivals
+  /// phase every join waits in an outbox, so the queues are read-only there
+  /// and every shard reads the same pre-phase loads at any thread count.
+  void ArriveAtStationOrRenege(TaxiId taxi, ShardScratch* outbox);
   /// `pickup_minutes`/`pickup_km` cover a remote-dispatch approach leg
   /// (0 for street hails). `rng` is the origin region's stream.
   void BeginServing(TaxiId taxi, const Request& request, Rng& rng,
@@ -382,11 +379,6 @@ class Simulator {
   /// passes: accounting, PE stats).
   std::vector<std::pair<TaxiId, TaxiId>> shard_taxis_;
   std::vector<ShardScratch> shards_;
-  /// RunSharded plumbing: the pending body lives in a member so the
-  /// std::function handed to ParallelFor captures only `this` (fits the
-  /// small-buffer optimisation — no heap allocation per phase).
-  void (Simulator::*shard_body_)(int) = nullptr;
-  std::function<void(int64_t)> shard_runner_;
 
   // --- Arrival calendar (event-driven slot advance) ---------------------
   /// Ring of per-slot due buckets, stored as intrusive doubly-linked lists
@@ -412,11 +404,6 @@ class Simulator {
 
   /// Unlinks `taxi` from its ring bucket if it is linked there.
   void CalendarUnlink(TaxiId taxi);
-
-  // --- Station-load snapshot for sharded balk decisions -----------------
-  std::vector<int> snap_avail_;
-  std::vector<int> snap_wait_;
-  std::vector<int> snap_occ_;
 
   // CSR matching state shared between MatchPassengers and MatchShard
   // (arena-owned, valid during the phase only).

@@ -89,7 +89,10 @@ TEST(DeterminismTest, TrainedCma2cIsReproducible) {
 
 // ------------------------------------- sharded stepping is thread-blind --
 
-std::string FullScaleDigest(int threads) {
+// `busy_outage` also darkens station 7 at slot 25, when about 20 taxis
+// wait in its line, so the fault drain reroutes a real line (station 3 has
+// an empty line when it goes dark at slot 10).
+std::string FullScaleDigest(int threads, bool busy_outage = false) {
   SetGlobalThreads(threads);
   // Full Shenzhen scale — 20,130 taxis / 491 regions / 123 stations — so
   // the digest exercises every shard boundary the bench config has, with
@@ -102,6 +105,10 @@ std::string FullScaleDigest(int threads) {
   faults.AddDemandShock(/*region=*/7, /*from_slot=*/6, /*until_slot=*/30,
                         /*multiplier=*/2.5);
   faults.AddStationOutage(/*station=*/3, /*from_slot=*/10, /*until_slot=*/40);
+  if (busy_outage) {
+    faults.AddStationOutage(/*station=*/7, /*from_slot=*/25,
+                            /*until_slot=*/40);
+  }
   faults.AddBreakdownHazard(/*from_slot=*/12, /*until_slot=*/36,
                             /*per_slot_prob=*/2e-4, /*repair_slots=*/6);
   EXPECT_TRUE(system->sim().SetFaultSchedule(&faults).ok());
@@ -131,6 +138,22 @@ TEST(DeterminismTest, FullScaleShardedSteppingIsThreadCountInvariant) {
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, four);
   EXPECT_EQ(four, four_again);
+  // Golden bytes: a refactor that moves the digest at every thread count
+  // alike fails here.
+  EXPECT_EQ(one,
+            "28.986271937373623|187.99898162442639|583493.654099331|"
+            "4893564.1531949872|124323|7510|9897|171364");
+}
+
+// The fault drain sends every taxi waiting at a station that goes dark back
+// through the arrival logic on live station loads; golden bytes pin those
+// reroutes.
+TEST(DeterminismTest, BusyStationOutageDrainIsGolden) {
+  const std::string one = FullScaleDigest(1, /*busy_outage=*/true);
+  EXPECT_EQ(one, FullScaleDigest(4, /*busy_outage=*/true));
+  EXPECT_EQ(one,
+            "29.040238191290179|187.00323161077498|584579.99479067128|"
+            "4901065.94502299|124669|7476|9991|171579");
 }
 
 TEST(DeterminismTest, FeatureVectorsAreDeterministic) {

@@ -204,7 +204,7 @@ TEST(PoolStatsTest, CountersMoveOnlyOnParallelBranch) {
   const PoolStats before = GlobalPool().stats();
   GlobalPool().ParallelFor(8, [](int64_t) {});
   const PoolStats serial = GlobalPool().stats();
-  // Exact-serial path: no atomics touched at all.
+  // One lane: the region is not shared, so no counter moves.
   EXPECT_EQ(serial.regions, before.regions);
   EXPECT_EQ(serial.tasks, before.tasks);
 

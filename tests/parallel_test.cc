@@ -10,6 +10,7 @@
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -69,33 +70,89 @@ TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
   EXPECT_EQ(total.load(), 32);
 }
 
+// The error contract holds at every lane count, for a top-level region and
+// for regions nested inside a 2-task region (one per outer task).
+constexpr int kPoolSizes[] = {1, 2, 4};
+
+// A 16-index region whose indices 3 and 7 throw; returns what() of the
+// exception it rethrew.
+std::string LowestFailureOf(ThreadPool& pool) {
+  try {
+    pool.ParallelFor(16, [](int64_t i) {
+      if (i == 3) throw std::runtime_error("boom-3");
+      if (i == 7) throw std::runtime_error("boom-7");
+    });
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
 TEST(ThreadPoolTest, RethrowsLowestIndexException) {
-  ThreadPool pool(4);
-  // Indices 3 and 7 both throw; the contract says index 3's exception
-  // surfaces regardless of completion timing.
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    try {
-      pool.ParallelFor(16, [&](int64_t i) {
-        if (i == 3) throw std::runtime_error("boom-3");
-        if (i == 7) throw std::runtime_error("boom-7");
-      });
-      FAIL() << "expected an exception";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "boom-3");
+  for (int lanes : kPoolSizes) {
+    ThreadPool pool(lanes);
+    // Index 3's exception surfaces regardless of completion timing.
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      EXPECT_EQ(LowestFailureOf(pool), "boom-3") << lanes << " lanes";
     }
+    std::string nested[2];
+    pool.ParallelFor(2, [&](int64_t k) { nested[k] = LowestFailureOf(pool); });
+    EXPECT_EQ(nested[0], "boom-3") << lanes << " lanes, nested";
+    EXPECT_EQ(nested[1], "boom-3") << lanes << " lanes, nested";
   }
 }
 
-TEST(ThreadPoolTest, ExceptionRegionStillAccountsEveryIndex) {
-  ThreadPool pool(4);
+// A 64-index region whose even indices throw std::logic_error; returns how
+// many indices ran, or -1 if it did not rethrow.
+int IndicesRunDespiteThrows(ThreadPool& pool) {
   std::atomic<int> ran{0};
-  EXPECT_THROW(pool.ParallelFor(64,
-                                [&](int64_t i) {
-                                  ran.fetch_add(1);
-                                  if (i % 2 == 0) throw std::logic_error("x");
-                                }),
-               std::logic_error);
-  EXPECT_EQ(ran.load(), 64);  // no index abandoned mid-region
+  try {
+    pool.ParallelFor(64, [&](int64_t i) {
+      ran.fetch_add(1);
+      if (i % 2 == 0) throw std::logic_error("x");
+    });
+  } catch (const std::logic_error&) {
+    return ran.load();
+  }
+  return -1;
+}
+
+TEST(ThreadPoolTest, ExceptionRegionStillAccountsEveryIndex) {
+  for (int lanes : kPoolSizes) {
+    ThreadPool pool(lanes);
+    // No index abandoned mid-region, whatever the lane count.
+    EXPECT_EQ(IndicesRunDespiteThrows(pool), 64) << lanes << " lanes";
+    int nested[2] = {0, 0};
+    pool.ParallelFor(2, [&](int64_t k) {
+      nested[k] = IndicesRunDespiteThrows(pool);
+    });
+    EXPECT_EQ(nested[0], 64) << lanes << " lanes, nested";
+    EXPECT_EQ(nested[1], 64) << lanes << " lanes, nested";
+  }
+}
+
+// Two threads outside the pool open top-level regions on it at once, so the
+// open-region list holds both; each region must still run every index once.
+TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndex) {
+  ThreadPool pool(4);
+  constexpr int64_t kN = 1000;
+  constexpr int kCalls = 50;
+  auto call_repeatedly = [&pool](int64_t* miscounts) {
+    std::vector<std::atomic<int>> hits(kN);
+    for (int call = 0; call < kCalls; ++call) {
+      for (auto& h : hits) h.store(0);
+      pool.ParallelFor(kN, [&](int64_t i) { hits[i].fetch_add(1); });
+      for (const auto& h : hits) *miscounts += h.load() != 1;
+    }
+  };
+  int64_t miscounts_a = 0;
+  int64_t miscounts_b = 0;
+  std::thread a(call_repeatedly, &miscounts_a);
+  std::thread b(call_repeatedly, &miscounts_b);
+  a.join();
+  b.join();
+  EXPECT_EQ(miscounts_a, 0);
+  EXPECT_EQ(miscounts_b, 0);
 }
 
 TEST(ThreadPoolTest, SetGlobalThreadsSwapsThePool) {

@@ -1,9 +1,10 @@
 // Pins the Simulator::Step zero-allocation contract: once the arena, ring
 // queues and reusable vectors are warm, a steady-state step must not touch
-// the heap at all. The proof is a binary-wide counting hook on the global
-// operator new — anything that allocates inside the measured window
-// (std::deque churn, a per-slot std::vector, a logging string) fails the
-// test with an exact count. The same hook pins the batched
+// the heap at all, at one pool lane or four. The proof is a binary-wide
+// counting hook on the global operator new — anything that allocates
+// inside the measured window on any thread (std::deque churn, a per-slot
+// std::vector, a logging string, a pool task) fails the test with an exact
+// count. The same hook pins the batched
 // FeatureExtractor::ExtractAll path.
 
 #include <gtest/gtest.h>
@@ -13,12 +14,14 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #ifdef FAIRMOVE_ALLOC_TEST_BACKTRACE
 #include <execinfo.h>
 #include <unistd.h>
 #endif
 
+#include "fairmove/common/parallel.h"
 #include "fairmove/demand/demand_model.h"
 #include "fairmove/geo/city_builder.h"
 #include "fairmove/nn/matrix.h"
@@ -127,32 +130,49 @@ class ScopedAllocCounter {
   int64_t count() const { return g_alloc_count.load(); }
 };
 
-TEST(SimAllocTest, SteadyStateStepDoesZeroHeapAllocations) {
+// Heap allocations per simulated day of a warm simulator at the global
+// pool's lane count, counted on every thread (pool workers included). Stops
+// after the first day with zero, or after 8 days.
+std::vector<int64_t> WarmDayAllocationCounts() {
   TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
   // Warm-up: the first days take every container past its high-water mark
   // (morning demand peaks, charge queues, the step arena). Daily demand
   // draws differ, so a later day can still push a request ring past its
   // all-time high-water and trigger one doubling — that growth converges
-  // geometrically, which is exactly what this loop asserts: within a few
+  // geometrically, which is exactly what the test asserts: within a few
   // days, a full simulated day must execute with ZERO heap allocations.
   // A genuine per-step allocation (a std::deque node, a per-slot vector)
-  // never converges and fails the final expectation with its daily count.
-  // The run is seed-deterministic, so the result is exact, not flaky.
+  // never converges and fails the test with its daily count. The run is
+  // seed-deterministic, so the result is exact, not flaky.
   stack.sim->RunDays(/*policy=*/nullptr, 2);
   constexpr int kMaxWarmupDays = 8;
-  int64_t last_day_count = -1;
-  std::string per_day;
+  std::vector<int64_t> counts;
   for (int day = 0; day < kMaxWarmupDays; ++day) {
     ScopedAllocCounter counter;
     stack.sim->RunSlots(/*policy=*/nullptr, kSlotsPerDay);
     g_counting.store(false);
-    last_day_count = counter.count();
-    per_day += (day ? " " : "") + std::to_string(last_day_count);
-    if (last_day_count == 0) break;
+    counts.push_back(counter.count());
+    if (counts.back() == 0) break;
   }
-  EXPECT_EQ(last_day_count, 0)
-      << "Simulator::Step still allocated after " << kMaxWarmupDays
-      << " warm days; per-day allocation counts: " << per_day;
+  return counts;
+}
+
+// The sharded phases run on the global pool, so its dispatch is inside the
+// counted window. The test sets the lane count itself instead of taking
+// FAIRMOVE_THREADS or the core count, so a one-core box checks 4 lanes too.
+TEST(SimAllocTest, SteadyStateStepDoesZeroHeapAllocations) {
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    const std::vector<int64_t> counts = WarmDayAllocationCounts();
+    std::string per_day;
+    for (int64_t count : counts) per_day += " " + std::to_string(count);
+    EXPECT_EQ(counts.back(), 0)
+        << "Simulator::Step at " << lanes << " lanes still allocated after "
+        << counts.size() << " warm days; per-day allocation counts:"
+        << per_day;
+  }
+  SetGlobalThreads(before);
 }
 
 TEST(SimAllocTest, WarmFeatureExtractionDoesZeroHeapAllocations) {
