@@ -210,11 +210,17 @@ Trainer::EpisodeStats Trainer::RunTrainingEpisode(DisplacementPolicy* policy,
   for (int64_t slot = 0; slot < config_.slots_per_episode; ++slot) {
     closed.clear();
     StepAndCollect(policy, learns, &closed, &stats);
-    if (learns && !closed.empty()) policy->Learn(closed);
+    if (learns && !closed.empty()) {
+      FM_SPAN("train/learn");
+      policy->Learn(closed);
+    }
   }
   closed.clear();
   FlushPendings(learns ? &closed : nullptr, &stats);
-  if (learns && !closed.empty()) policy->Learn(closed);
+  if (learns && !closed.empty()) {
+    FM_SPAN("train/learn");
+    policy->Learn(closed);
+  }
   if (stats.transitions > 0) {
     stats.avg_reward /= static_cast<double>(stats.transitions);
     stats.avg_reward_own /= static_cast<double>(stats.transitions);

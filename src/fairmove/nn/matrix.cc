@@ -76,9 +76,13 @@ void MatMulRow(const float* a_row, const Matrix& b, int k, int n,
 
 }  // namespace
 
-void MatMulRowAccumulate(const float* a_row, const Matrix& b,
-                         float* out_row) {
-  MatMulRow(a_row, b, b.rows(), b.cols(), out_row);
+void MatMulRowsAccumulate(const float* a, int rows, const Matrix& b,
+                          float* out) {
+  const int k = b.rows(), n = b.cols();
+  for (int i = 0; i < rows; ++i) {
+    MatMulRow(a + static_cast<size_t>(i) * k, b, k, n,
+              out + static_cast<size_t>(i) * n);
+  }
 }
 
 void Matrix::RandomGaussian(Rng& rng, double stddev) {
@@ -89,7 +93,8 @@ void Matrix::RandomGaussian(Rng& rng, double stddev) {
 
 // Accumulation order invariant (all MatMul* kernels): every output element
 // out(i, j) sums its k contributions in ascending-p order, one add per
-// contribution, starting from the zero Resize left behind. Batched
+// contribution, starting from zero (the zero Resize left behind, or the
+// row-block zero fill of MatMulTransARows). Batched
 // Mlp::Forward is documented to be bit-identical to per-row Forward1,
 // which holds exactly because rows are independent here — every batch row
 // runs the same MatMulRow kernel, so the per-element order never depends
@@ -100,17 +105,24 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   FM_CHECK(a.cols() == b.rows())
       << "MatMul shape mismatch: " << a.cols() << " vs " << b.rows();
   out->Resize(a.rows(), b.cols());
-  const int m = a.rows(), k = a.cols(), n = b.cols();
-  for (int i = 0; i < m; ++i) {
-    MatMulRow(a.Row(i), b, k, n, out->Row(i));
-  }
+  MatMulRowsAccumulate(a.data(), a.rows(), b, out->data());
 }
 
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
+  out->ResizeForOverwrite(a.cols(), b.cols());
+  MatMulTransARows(a, b, 0, a.cols(), out);
+}
+
+void MatMulTransARows(const Matrix& a, const Matrix& b, int row_begin,
+                      int row_end, Matrix* out) {
   FM_CHECK(a.rows() == b.rows())
       << "MatMulTransA shape mismatch: " << a.rows() << " vs " << b.rows();
-  out->Resize(a.cols(), b.cols());
-  const int k = a.rows(), m = a.cols(), n = b.cols();
+  FM_CHECK(out->rows() == a.cols() && out->cols() == b.cols());
+  FM_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= a.cols());
+  if (row_begin == row_end) return;
+  const int k = a.rows(), n = b.cols();
+  std::fill(out->data() + static_cast<size_t>(row_begin) * n,
+            out->data() + static_cast<size_t>(row_end) * n, 0.0f);
   using simd::kFloatLanes;
   for (int j0 = 0; j0 < n; j0 += kColBlock) {
     const int j1 = std::min(n, j0 + kColBlock);
@@ -124,7 +136,7 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
       const float* b1 = b.Row(p + 1);
       const float* b2 = b.Row(p + 2);
       const float* b3 = b.Row(p + 3);
-      for (int i = 0; i < m; ++i) {
+      for (int i = row_begin; i < row_end; ++i) {
         float* out_row = out->Row(i);
         const float v0 = a0[i], v1 = a1[i], v2 = a2[i], v3 = a3[i];
         int j = j0;
@@ -153,7 +165,7 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
     for (; p < k; ++p) {
       const float* a_row = a.Row(p);
       const float* b_row = b.Row(p);
-      for (int i = 0; i < m; ++i) {
+      for (int i = row_begin; i < row_end; ++i) {
         const float av = a_row[i];
         float* out_row = out->Row(i);
         int j = j0;
@@ -172,55 +184,11 @@ void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
-  FM_CHECK(a.cols() == b.cols())
-      << "MatMulTransB shape mismatch: " << a.cols() << " vs " << b.cols();
-  out->Resize(a.rows(), b.rows());
-  const int m = a.rows(), k = a.cols(), n = b.rows();
-  using simd::kFloatLanes;
-  for (int i = 0; i < m; ++i) {
-    const float* a_row = a.Row(i);
-    float* out_row = out->Row(i);
-    int j = 0;
-    // Each output element accumulates over p into a private chain, so the
-    // only way to vectorise without reordering the sum is one chain per
-    // lane: lane l owns column j + l and reads b(j + l, p) via the strided
-    // LoadLanes. The win over scalar is the 4/8 independent dependency
-    // chains (the scalar loop is one serial add chain), not the loads.
-    if constexpr (kFloatLanes > 1) {
-      for (; j + kFloatLanes <= n; j += kFloatLanes) {
-        const float* rows[static_cast<size_t>(kFloatLanes)];
-        for (int l = 0; l < kFloatLanes; ++l) rows[l] = b.Row(j + l);
-        simd::VecF acc = simd::Zero();
-        for (int p = 0; p < k; ++p) {
-          acc = simd::Add(
-              acc, simd::Mul(simd::Set1(a_row[p]), simd::LoadLanes(rows, p)));
-        }
-        simd::StoreU(out_row + j, acc);
-      }
-    }
-    for (; j < n; ++j) {
-      const float* b_row = b.Row(j);
-      float acc = 0.0f;
-      for (int p = 0; p < k; ++p) acc += a_row[p] * b_row[p];
-      out_row[j] = acc;
-    }
-  }
-}
-
-void AddRowBias(const std::vector<float>& bias, Matrix* m) {
-  FM_CHECK(static_cast<int>(bias.size()) == m->cols());
-  for (int i = 0; i < m->rows(); ++i) {
-    float* row = m->Row(i);
-    for (int j = 0; j < m->cols(); ++j) row[j] += bias[static_cast<size_t>(j)];
-  }
-}
-
-void SumRows(const Matrix& m, std::vector<float>* out) {
-  out->assign(static_cast<size_t>(m.cols()), 0.0f);
+void Transpose(const Matrix& m, Matrix* out) {
+  out->ResizeForOverwrite(m.cols(), m.rows());
   for (int i = 0; i < m.rows(); ++i) {
     const float* row = m.Row(i);
-    for (int j = 0; j < m.cols(); ++j) (*out)[static_cast<size_t>(j)] += row[j];
+    for (int j = 0; j < m.cols(); ++j) out->At(j, i) = row[j];
   }
 }
 

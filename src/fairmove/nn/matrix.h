@@ -25,6 +25,16 @@ class Matrix {
     data_.assign(static_cast<size_t>(rows) * cols, 0.0f);
   }
 
+  /// Resize for a caller that writes every element before reading any:
+  /// no zero fill, so elements kept from the old buffer hold stale values.
+  /// Same capacity reuse as Resize.
+  void ResizeForOverwrite(int rows, int cols) {
+    FM_CHECK(rows >= 0 && cols >= 0);
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(static_cast<size_t>(rows) * cols);
+  }
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   size_t size() const { return data_.size(); }
@@ -66,25 +76,30 @@ class Matrix {
 /// out = a * b. Shapes: [m x k] * [k x n] -> [m x n]. `out` is resized.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// One row of MatMul: out_row[j] += sum_p a_row[p] * b(p, j), accumulated in
-/// the pinned ascending-p order starting from whatever `out_row` holds
-/// (callers zero it first). This is the exact kernel MatMul runs per batch
-/// row; it is exposed so batched layers can shard rows across threads while
-/// staying bit-identical to the serial pass. `a_row` has b.rows() entries,
-/// `out_row` b.cols().
-void MatMulRowAccumulate(const float* a_row, const Matrix& b, float* out_row);
+/// `rows` consecutive rows of MatMul: for each row i,
+/// out_i[j] += sum_p a_i[p] * b(p, j), accumulated in the pinned
+/// ascending-p order starting from whatever `out` holds (callers zero it
+/// first). Row i of `a` starts at a + i * b.rows(), row i of `out` at
+/// out + i * b.cols(), as in a row-major Matrix. This is the exact kernel
+/// MatMul runs per batch row; it is exposed so batched layers can shard
+/// row blocks across threads while staying bit-identical to the serial
+/// pass.
+void MatMulRowsAccumulate(const float* a, int rows, const Matrix& b,
+                          float* out);
 
 /// out = a^T * b. Shapes: [k x m]^T * [k x n] -> [m x n].
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// out = a * b^T. Shapes: [m x k] * [n x k]^T -> [m x n].
-void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out);
+/// Rows [row_begin, row_end) of out = a^T * b, overwritten; `out` must
+/// already be [a.cols() x b.cols()] and no other row is touched. Each
+/// element sums its k contributions in ascending-p order from zero, as
+/// MatMulTransA does, so disjoint row blocks can run concurrently and still
+/// give MatMulTransA's bits (the weight gradient of Mlp::Backward).
+void MatMulTransARows(const Matrix& a, const Matrix& b, int row_begin,
+                      int row_end, Matrix* out);
 
-/// Adds row-vector `bias` (size cols) to every row of `m`.
-void AddRowBias(const std::vector<float>& bias, Matrix* m);
-
-/// Sums the rows of `m` into `out` (size cols).
-void SumRows(const Matrix& m, std::vector<float>* out);
+/// out = m^T. `out` is resized.
+void Transpose(const Matrix& m, Matrix* out);
 
 }  // namespace fairmove
 

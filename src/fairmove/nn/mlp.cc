@@ -114,6 +114,37 @@ void ReluN(float* data, size_t n) {
   for (; i < n; ++i) data[i] = std::max(0.0f, data[i]);
 }
 
+// Below this many rows per shard the fork/join overhead beats the win on
+// these small policy networks. The one threshold of every sharded pass.
+constexpr int kMinRowsPerShard = 64;
+
+/// Shards of a `rows`-row pass: one on a null or one-lane pool and for
+/// small batches, else up to one per lane.
+int ShardCount(int rows, const ThreadPool* pool) {
+  if (pool == nullptr || pool->num_threads() <= 1) return 1;
+  return std::clamp(rows / kMinRowsPerShard, 1, pool->num_threads());
+}
+
+/// Shard `s` of `n` items split into `shards` balanced contiguous ranges.
+struct ShardRange {
+  ShardRange(int n, int shards, int s)
+      : begin(s * (n / shards) + std::min(s, n % shards)),
+        end(begin + n / shards + (s < n % shards ? 1 : 0)) {}
+  int begin, end;
+};
+
+/// Runs body(s) for every shard: on the caller when there is one (the pool
+/// may then be null), else as one region on `pool`. Shards write disjoint
+/// ranges only, so the result does not depend on which lane runs which.
+template <typename Body>
+void ForEachShard(ThreadPool* pool, int shards, const Body& body) {
+  if (shards == 1) {
+    body(0);
+    return;
+  }
+  pool->ParallelFor(shards, [&body](int64_t s) { body(static_cast<int>(s)); });
+}
+
 }  // namespace
 
 Mlp::Mlp(const std::vector<int>& sizes, Activation hidden_activation,
@@ -137,16 +168,45 @@ Mlp::Mlp(const std::vector<int>& sizes, Activation hidden_activation,
   }
 }
 
-void Mlp::ApplyActivation(Matrix* m, bool is_last) const {
-  if (is_last) return;  // linear output head
+void Mlp::AffineRows(int layer, const Matrix& in, int in_begin, int count,
+                     Matrix* out, int out_begin) const {
+  if (count == 0) return;
+  const size_t li = static_cast<size_t>(layer);
+  const int n = sizes_[li + 1];
+  float* first = out->Row(out_begin);
+  std::fill(first, first + static_cast<size_t>(count) * n, 0.0f);
+  MatMulRowsAccumulate(in.Row(in_begin), count, weights_[li], first);
+  const std::vector<float>& bias = biases_[li];
+  for (int i = 0; i < count; ++i) {
+    float* out_row = out->Row(out_begin + i);
+    for (int j = 0; j < n; ++j) out_row[j] += bias[static_cast<size_t>(j)];
+  }
+}
+
+void Mlp::ActivateRows(float* data, size_t n) const {
   switch (hidden_activation_) {
     case Activation::kLinear:
       return;
     case Activation::kRelu:
-      ReluN(m->data(), m->size());
+      ReluN(data, n);
       return;
     case Activation::kTanh:
-      FastTanhN(m->data(), m->size());
+      FastTanhN(data, n);
+      return;
+  }
+}
+
+void Mlp::ActivationGrad(const float* post, float* delta, size_t n) const {
+  switch (hidden_activation_) {
+    case Activation::kLinear:
+      return;
+    case Activation::kRelu:
+      for (size_t i = 0; i < n; ++i) {
+        if (post[i] <= 0.0f) delta[i] = 0.0f;
+      }
+      return;
+    case Activation::kTanh:
+      for (size_t i = 0; i < n; ++i) delta[i] *= 1.0f - post[i] * post[i];
       return;
   }
 }
@@ -160,7 +220,7 @@ void Mlp::Forward(const Matrix& x, Matrix* y, Workspace* ws) const {
   FM_CHECK(x.cols() == input_dim())
       << "input dim " << x.cols() << " != " << input_dim();
   FM_CHECK(y != &x) << "Forward output must not alias the input";
-  y->Resize(x.rows(), output_dim());
+  y->ResizeForOverwrite(x.rows(), output_dim());
   ForwardRows(x, 0, x.rows(), y, ws);
 }
 
@@ -179,28 +239,11 @@ void Mlp::ForwardRows(const Matrix& x, int row_begin, int row_end, Matrix* y,
     Matrix* dst = last ? y : &ws->act[li % 2];
     int out_base = row_begin;
     if (!last) {
-      dst->Resize(len, out_cols);  // also zeroes for the accumulate kernel
+      dst->ResizeForOverwrite(len, out_cols);
       out_base = 0;
     }
-    const Matrix& w = weights_[li];
-    const std::vector<float>& bias = biases_[li];
-    for (int i = 0; i < len; ++i) {
-      float* out_row = dst->Row(out_base + i);
-      MatMulRowAccumulate(current->Row(base + i), w, out_row);
-      for (int j = 0; j < out_cols; ++j) out_row[j] += bias[static_cast<size_t>(j)];
-      if (!last) {
-        switch (hidden_activation_) {
-          case Activation::kLinear:
-            break;
-          case Activation::kRelu:
-            ReluN(out_row, static_cast<size_t>(out_cols));
-            break;
-          case Activation::kTanh:
-            FastTanhN(out_row, static_cast<size_t>(out_cols));
-            break;
-        }
-      }
-    }
+    AffineRows(layer, *current, base, len, dst, out_base);
+    if (!last && len > 0) ActivateRows(dst->Row(out_base), len * out_cols);
     current = dst;
     base = 0;
   }
@@ -212,28 +255,15 @@ void Mlp::Forward(const Matrix& x, Matrix* y, ThreadPool* pool,
       << "input dim " << x.cols() << " != " << input_dim();
   FM_CHECK(y != &x) << "Forward output must not alias the input";
   const int rows = x.rows();
-  y->Resize(rows, output_dim());
-  // Below this many rows per shard the fork/join overhead beats the win on
-  // these small policy networks.
-  constexpr int kMinRowsPerShard = 64;
-  int shards = 1;
-  if (pool != nullptr && pool->num_threads() > 1) {
-    shards = std::clamp(rows / kMinRowsPerShard, 1, pool->num_threads());
-  }
+  y->ResizeForOverwrite(rows, output_dim());
+  const int shards = ShardCount(rows, pool);
   if (static_cast<int>(ws->shards.size()) < shards) {
     ws->shards.resize(static_cast<size_t>(shards));
   }
-  if (shards == 1) {
-    ForwardRows(x, 0, rows, y, &ws->shards[0]);
-    return;
-  }
-  // Balanced contiguous ranges; shard s writes only rows [begin_s, end_s),
-  // so shards race on nothing and `y` is bit-identical for any shard count.
-  const int quot = rows / shards, rem = rows % shards;
-  pool->ParallelFor(shards, [&](int64_t s) {
-    const int begin = static_cast<int>(s) * quot + std::min(static_cast<int>(s), rem);
-    const int end = begin + quot + (static_cast<int>(s) < rem ? 1 : 0);
-    ForwardRows(x, begin, end, y, &ws->shards[static_cast<size_t>(s)]);
+  // Shard s writes only its own rows of `y`, with its own workspace.
+  ForEachShard(pool, shards, [&](int s) {
+    const ShardRange r(rows, shards, s);
+    ForwardRows(x, r.begin, r.end, y, &ws->shards[static_cast<size_t>(s)]);
   });
 }
 
@@ -246,23 +276,41 @@ std::vector<float> Mlp::Forward1(const std::vector<float>& x) const {
   return std::vector<float>(out.Row(0), out.Row(0) + out.cols());
 }
 
-void Mlp::ForwardTape(const Matrix& x, Tape* tape) const {
+void Mlp::ForwardTape(const Matrix& x, Tape* tape, ThreadPool* pool) const {
   FM_CHECK(x.cols() == input_dim());
-  tape->input = x;
-  // resize (not assign) keeps existing per-layer matrices alive so their
-  // buffers are reused on every pass through the same tape.
-  tape->pre.resize(static_cast<size_t>(num_layers()));
-  tape->post.resize(static_cast<size_t>(num_layers()));
-  const Matrix* current = &tape->input;
-  for (int layer = 0; layer < num_layers(); ++layer) {
-    Matrix& pre = tape->pre[static_cast<size_t>(layer)];
-    MatMul(*current, weights_[static_cast<size_t>(layer)], &pre);
-    AddRowBias(biases_[static_cast<size_t>(layer)], &pre);
-    Matrix& post = tape->post[static_cast<size_t>(layer)];
-    post = pre;
-    ApplyActivation(&post, layer + 1 == num_layers());
-    current = &post;
+  FM_CHECK(&x != &tape->input) << "ForwardTape input must not be the tape's";
+  const int rows = x.rows();
+  const size_t layers = static_cast<size_t>(num_layers());
+  // Each shard writes every element of its rows before anything reads it,
+  // so no buffer is zero-filled first. resize (not assign) keeps existing
+  // per-layer matrices alive so their buffers are reused on every pass.
+  tape->input.ResizeForOverwrite(rows, input_dim());
+  tape->pre.resize(layers);
+  tape->post.resize(layers);
+  for (size_t li = 0; li < layers; ++li) {
+    tape->pre[li].ResizeForOverwrite(rows, sizes_[li + 1]);
+    tape->post[li].ResizeForOverwrite(rows, sizes_[li + 1]);
   }
+  const int shards = ShardCount(rows, pool);
+  ForEachShard(pool, shards, [&](int s) {
+    const ShardRange r(rows, shards, s);
+    const size_t in = static_cast<size_t>(input_dim());
+    std::copy(x.data() + r.begin * in, x.data() + r.end * in,
+              tape->input.data() + r.begin * in);
+    for (size_t li = 0; li < layers; ++li) {
+      const Matrix& input = li == 0 ? tape->input : tape->post[li - 1];
+      Matrix& pre = tape->pre[li];
+      Matrix& post = tape->post[li];
+      const int n = sizes_[li + 1];
+      const bool last = li + 1 == layers;
+      AffineRows(static_cast<int>(li), input, r.begin, r.end - r.begin, &pre,
+                 r.begin);
+      const size_t first = static_cast<size_t>(r.begin) * n;
+      const size_t end = static_cast<size_t>(r.end) * n;
+      std::copy(pre.data() + first, pre.data() + end, post.data() + first);
+      if (!last) ActivateRows(post.data() + first, end - first);
+    }
+  });
 }
 
 Mlp::Gradients Mlp::MakeGradients() const {
@@ -288,49 +336,68 @@ void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
 }
 
 void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
-                   Gradients* grads, Workspace* ws) const {
+                   Gradients* grads, Workspace* ws, ThreadPool* pool) const {
   FM_CHECK(grad_output.cols() == output_dim());
   FM_CHECK(grad_output.rows() == tape.input.rows());
   FM_CHECK(grads->dw.size() == weights_.size());
-
-  Matrix& delta = ws->delta;  // dL/d(pre) of the current layer
-  delta = grad_output;
+  const int rows = grad_output.rows();
+  const int shards = ShardCount(rows, pool);
+  // The propagation runs the forward row kernel against W^T, so it reads
+  // contiguous rows instead of gathering one column of W per element.
+  ws->wt.resize(weights_.size());
+  for (size_t li = 1; li < weights_.size(); ++li) {
+    Transpose(weights_[li], &ws->wt[li]);
+  }
+  const Matrix* delta = &grad_output;  // dL/d(pre) of the current layer
   for (int layer = num_layers() - 1; layer >= 0; --layer) {
     const size_t li = static_cast<size_t>(layer);
-    // Output layer is linear; hidden layers need the activation derivative.
-    if (layer != num_layers() - 1) {
-      const Matrix& post = tape.post[li];
-      switch (hidden_activation_) {
-        case Activation::kLinear:
-          break;
-        case Activation::kRelu:
-          for (size_t i = 0; i < delta.size(); ++i) {
-            if (post.data()[i] <= 0.0f) delta.data()[i] = 0.0f;
-          }
-          break;
-        case Activation::kTanh:
-          for (size_t i = 0; i < delta.size(); ++i) {
-            const float t = post.data()[i];
-            delta.data()[i] *= 1.0f - t * t;
-          }
-          break;
+    const Matrix& input = layer == 0 ? tape.input : tape.post[li - 1];
+    const int in = sizes_[li], out = sizes_[li + 1];
+    Matrix& acc_w = grads->dw[li];
+    std::vector<float>& acc_b = grads->db[li];
+    FM_CHECK(acc_w.rows() == in && acc_w.cols() == out &&
+             static_cast<int>(acc_b.size()) == out);
+    ws->dw.ResizeForOverwrite(in, out);
+    ws->db.resize(static_cast<size_t>(out));
+    // The layer below's delta; the two buffers alternate, so it never
+    // aliases the current one.
+    Matrix* prev = layer > 0 ? &ws->delta[li % 2] : nullptr;
+    if (prev != nullptr) prev->ResizeForOverwrite(rows, in);
+    ForEachShard(pool, shards, [&](int s) {
+      // dW += input^T * delta over this shard's block of dW rows.
+      const ShardRange w(in, shards, s);
+      MatMulTransARows(input, *delta, w.begin, w.end, &ws->dw);
+      for (int i = w.begin; i < w.end; ++i) {
+        const float* dw = ws->dw.Row(i);
+        float* acc = acc_w.Row(i);
+        for (int j = 0; j < out; ++j) acc[j] += dw[j];
       }
-    }
-    const Matrix& layer_input =
-        layer == 0 ? tape.input : tape.post[li - 1];
-    // dW += input^T * delta;  db += column sums of delta.
-    Matrix& dw = ws->dw;
-    MatMulTransA(layer_input, delta, &dw);
-    Matrix& acc = grads->dw[li];
-    FM_CHECK(acc.rows() == dw.rows() && acc.cols() == dw.cols());
-    for (size_t i = 0; i < dw.size(); ++i) acc.data()[i] += dw.data()[i];
-    SumRows(delta, &ws->db);
-    for (size_t i = 0; i < ws->db.size(); ++i) grads->db[li][i] += ws->db[i];
-    if (layer > 0) {
-      // Propagate: delta_prev = delta * W^T.
-      MatMulTransB(delta, weights_[li], &ws->delta_prev);
-      std::swap(delta, ws->delta_prev);
-    }
+      // db += column sums of delta over this shard's block of columns.
+      const ShardRange b(out, shards, s);
+      if (b.begin < b.end) {
+        float* db = ws->db.data();
+        std::fill(db + b.begin, db + b.end, 0.0f);
+        for (int p = 0; p < rows; ++p) {
+          const float* row = delta->Row(p);
+          for (int j = b.begin; j < b.end; ++j) db[j] += row[j];
+        }
+        for (int j = b.begin; j < b.end; ++j) {
+          acc_b[static_cast<size_t>(j)] += db[j];
+        }
+      }
+      if (prev == nullptr) return;
+      // delta_prev = (delta * W^T) . f'(post) over this shard's batch rows.
+      const ShardRange r(rows, shards, s);
+      if (r.begin == r.end) return;
+      const size_t first = static_cast<size_t>(r.begin) * in;
+      const size_t end = static_cast<size_t>(r.end) * in;
+      std::fill(prev->data() + first, prev->data() + end, 0.0f);
+      MatMulRowsAccumulate(delta->Row(r.begin), r.end - r.begin, ws->wt[li],
+                           prev->data() + first);
+      ActivationGrad(tape.post[li - 1].data() + first, prev->data() + first,
+                     end - first);
+    });
+    if (prev != nullptr) delta = prev;
   }
 }
 

@@ -37,11 +37,11 @@ class Mlp {
   /// capacity across calls, so once shapes have stabilised (same batch
   /// size), every pass through the same workspace is allocation-free.
   struct Workspace {
-    Matrix act[2];        // ping-pong hidden activations (Forward)
-    Matrix delta;         // dL/d(pre) of the current layer (Backward)
-    Matrix delta_prev;    // propagated delta (Backward)
-    Matrix dw;            // per-layer weight gradient (Backward)
+    Matrix act[2];         // ping-pong hidden activations (Forward)
+    Matrix delta[2];       // ping-pong propagated dL/d(pre) (Backward)
+    Matrix dw;             // per-layer weight gradient (Backward)
     std::vector<float> db;
+    std::vector<Matrix> wt;  // W^T per layer, the propagation operand
   };
 
   /// Inference for a single input vector.
@@ -65,12 +65,13 @@ class Mlp {
 
   /// Row-sharded batched inference: contiguous row ranges of `x` are
   /// processed concurrently on `pool`, each shard running the same
-  /// order-pinned per-row kernel (MatMulRowAccumulate) into its own rows of
+  /// order-pinned per-row kernel (MatMulRowsAccumulate) into its own rows of
   /// `y` with its own Workspace. Because every output row is computed by
   /// the identical per-row instruction sequence, the result is bit-identical
   /// to the serial Forward for every pool size and shard count. Falls back
-  /// to one shard for small batches (sharding overhead would dominate) or a
-  /// serial/null pool.
+  /// to one shard below 64 rows per shard (sharding overhead would
+  /// dominate) or on a one-lane/null pool; ForwardTape and Backward shard
+  /// by the same rule.
   void Forward(const Matrix& x, Matrix* y, ThreadPool* pool,
                ShardedWorkspace* ws) const;
 
@@ -81,7 +82,14 @@ class Mlp {
     std::vector<Matrix> pre;   // pre-activation of each layer
     std::vector<Matrix> post;  // post-activation of each layer
   };
-  void ForwardTape(const Matrix& x, Tape* tape) const;
+  /// Taped batched forward pass. With a `pool`, contiguous row shards run
+  /// concurrently, one region for every layer: each shard takes its rows
+  /// through the affine step (ascending-p accumulation from zero, then the
+  /// bias), the copy into `post` and the activation. Every element gets the
+  /// serial pass's op sequence, so the tape is bit-identical at any lane
+  /// count. `x` must not be `tape->input`.
+  void ForwardTape(const Matrix& x, Tape* tape,
+                   ThreadPool* pool = nullptr) const;
   /// The network output of a taped pass.
   const Matrix& Output(const Tape& tape) const { return tape.post.back(); }
 
@@ -98,9 +106,15 @@ class Mlp {
   void Backward(const Tape& tape, const Matrix& grad_output,
                 Gradients* grads) const;
   /// Same, reusing `ws` scratch so steady-state backprop does zero heap
-  /// allocation.
+  /// allocation. With a `pool`, each layer is one region of disjoint
+  /// shards: a block of dW rows (input^T * delta, every element summing the
+  /// batch rows in ascending order from zero), a block of db columns, and a
+  /// block of batch rows of the propagated delta (delta * W^T through the
+  /// forward row kernel against a transposed copy of W, with the activation
+  /// derivative applied in the same pass). The gradients are bit-identical
+  /// at any lane count.
   void Backward(const Tape& tape, const Matrix& grad_output, Gradients* grads,
-                Workspace* ws) const;
+                Workspace* ws, ThreadPool* pool = nullptr) const;
 
   // --- Parameter access (optimizer / target-network support) -------------
   std::vector<Matrix>& weights() { return weights_; }
@@ -129,14 +143,22 @@ class Mlp {
   static StatusOr<Mlp> Load(BinaryReader* in);
 
  private:
-  void ApplyActivation(Matrix* m, bool is_last) const;
+  /// Rows [out_begin, out_begin + count) of `out` = the `count` rows of
+  /// `in` from `in_begin`, times W plus b of `layer`: per element,
+  /// ascending-p accumulation from zero (MatMulRowsAccumulate), then the
+  /// bias add. The one affine step of every forward pass.
+  void AffineRows(int layer, const Matrix& in, int in_begin, int count,
+                  Matrix* out, int out_begin) const;
+  /// In-place hidden activation of `n` consecutive values.
+  void ActivateRows(float* data, size_t n) const;
+  /// delta[i] *= the hidden activation's derivative at post[i], i < n.
+  void ActivationGrad(const float* post, float* delta, size_t n) const;
 
   /// Runs rows [row_begin, row_end) of `x` through the network into the
-  /// same rows of `y` (which must already be sized [x.rows() x output_dim]
-  /// and zeroed in that range). The per-row op sequence — zero-based
-  /// ascending-p accumulation, bias add, activation — matches the unsharded
-  /// MatMul/AddRowBias/ApplyActivation pipeline element for element, which
-  /// is what makes sharded and serial passes bit-identical.
+  /// same rows of `y` (which must already be sized [x.rows() x output_dim]).
+  /// Each layer runs AffineRows then ActivateRows, the same per-element op
+  /// sequence as ForwardTape, which is what makes sharded and serial passes
+  /// bit-identical.
   void ForwardRows(const Matrix& x, int row_begin, int row_end, Matrix* y,
                    Workspace* ws) const;
 
@@ -172,8 +194,8 @@ float FastTanh(float x);
 /// Every lane executes the identical unfused float sequence as the scalar
 /// FastTanh — including the compare/select clamp that lets NaN fall
 /// through — so the result is bit-identical element for element (pinned by
-/// simd_kernels_test). This is the activation kernel ApplyActivation and
-/// the batched ForwardRows actually run.
+/// simd_kernels_test). This is the kTanh activation kernel of every
+/// forward pass.
 void FastTanhN(float* data, size_t n);
 
 /// In-place masked softmax over `logits`: invalid entries get probability 0.

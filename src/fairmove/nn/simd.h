@@ -66,12 +66,6 @@ template <int N>
 inline VecI ShlI32(VecI v) {
   return _mm256_slli_epi32(v, N);
 }
-/// Lane l <- rows[l][p]: the strided load MatMulTransB uses to keep one
-/// independent ascending-p accumulation chain per output column.
-inline VecF LoadLanes(const float* const* rows, int p) {
-  return _mm256_set_ps(rows[7][p], rows[6][p], rows[5][p], rows[4][p],
-                       rows[3][p], rows[2][p], rows[1][p], rows[0][p]);
-}
 
 #elif defined(FAIRMOVE_SIMD_SSE2)
 
@@ -101,9 +95,6 @@ inline VecI AddI32(VecI a, VecI b) { return _mm_add_epi32(a, b); }
 template <int N>
 inline VecI ShlI32(VecI v) {
   return _mm_slli_epi32(v, N);
-}
-inline VecF LoadLanes(const float* const* rows, int p) {
-  return _mm_set_ps(rows[3][p], rows[2][p], rows[1][p], rows[0][p]);
 }
 
 #elif defined(FAIRMOVE_SIMD_NEON)
@@ -149,10 +140,6 @@ inline VecI AddI32(VecI a, VecI b) { return vaddq_s32(a, b); }
 template <int N>
 inline VecI ShlI32(VecI v) {
   return vshlq_n_s32(v, N);
-}
-inline VecF LoadLanes(const float* const* rows, int p) {
-  const float lanes[4] = {rows[0][p], rows[1][p], rows[2][p], rows[3][p]};
-  return vld1q_f32(lanes);
 }
 
 #else  // scalar fallback
@@ -210,9 +197,6 @@ inline VecI AddI32(VecI a, VecI b) {
 template <int N>
 inline VecI ShlI32(VecI v) {
   return VecI{static_cast<int32_t>(static_cast<uint32_t>(v.v) << N)};
-}
-inline VecF LoadLanes(const float* const* rows, int p) {
-  return VecF{rows[0][p]};
 }
 
 #endif

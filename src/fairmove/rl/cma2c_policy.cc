@@ -53,6 +53,8 @@ Cma2cPolicy::Cma2cPolicy(const Simulator& sim, Options options)
   critic_opt_ = std::make_unique<Adam>(
       critic_.get(),
       Adam::Options{.learning_rate = options.critic_learning_rate});
+  actor_grads_ = actor_->MakeGradients();
+  critic_grads_ = critic_->MakeGradients();
 }
 
 void Cma2cPolicy::DecideActions(const Simulator& sim,
@@ -159,7 +161,8 @@ Status Cma2cPolicy::RestoreState(BinaryReader* in) {
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
   std::vector<Transition> buffer;
-  FM_RETURN_IF_ERROR(ReadTransitions(in, buffered, &buffer));
+  FM_RETURN_IF_ERROR(
+      ReadTransitions(in, buffered, features_.dim(), num_actions_, &buffer));
   buffer_ = std::move(buffer);
   bool has_guard = false;
   FM_RETURN_IF_ERROR(in->ReadBool(&has_guard));
@@ -226,31 +229,37 @@ void Cma2cPolicy::Learn(const std::vector<Transition>& transitions) {
 void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
   const int n = static_cast<int>(transitions.size());
   const int dim = features_.dim();
+  // The update's passes shard their batch rows over the pool; every
+  // gradient is bit-identical at any lane count (see Mlp::Backward).
+  ThreadPool* pool = &GlobalPool();
 
-  Matrix x(n, dim);
-  Matrix next_x(n, dim);
+  x_.ResizeForOverwrite(n, dim);
+  next_x_.ResizeForOverwrite(n, dim);
   for (int i = 0; i < n; ++i) {
     const Transition& t = transitions[static_cast<size_t>(i)];
-    FM_CHECK(static_cast<int>(t.state.size()) == dim)
+    FM_CHECK(static_cast<int>(t.state.size()) == dim &&
+             (t.terminal || static_cast<int>(t.next_state.size()) == dim))
         << "CMA2C transition carries foreign features";
-    std::copy(t.state.begin(), t.state.end(), x.Row(i));
-    if (!t.terminal) {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_x.Row(i));
+    std::copy(t.state.begin(), t.state.end(), x_.Row(i));
+    float* next_row = next_x_.Row(i);
+    if (t.terminal) {
+      std::fill(next_row, next_row + dim, 0.0f);
+    } else {
+      std::copy(t.next_state.begin(), t.next_state.end(), next_row);
     }
   }
 
   // --- Critic: minimise (V(s) - y)^2 with y from the target net (Eq 6-7).
-  Matrix next_v;
-  critic_target_->Forward(next_x, &next_v);
-  std::vector<double> targets(static_cast<size_t>(n));
+  critic_target_->Forward(next_x_, &next_v_, pool, &target_ws_);
+  targets_.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const Transition& t = transitions[static_cast<size_t>(i)];
-    targets[static_cast<size_t>(i)] =
-        t.reward + (t.terminal ? 0.0 : t.discount * next_v.At(i, 0));
+    targets_[static_cast<size_t>(i)] =
+        t.reward + (t.terminal ? 0.0 : t.discount * next_v_.At(i, 0));
   }
 
   if (guard_ != nullptr) {
-    for (double y : targets) {
+    for (double y : targets_) {
       if (!std::isfinite(y)) {
         RollBack("non-finite TD target (reward or target-critic output)");
         return;
@@ -258,18 +267,17 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
     }
   }
 
-  Mlp::Tape& critic_tape = critic_tape_;  // buffers reused across updates
-  critic_->ForwardTape(x, &critic_tape);
-  const Matrix& v = critic_->Output(critic_tape);
-  Matrix critic_grad(n, 1);
+  critic_->ForwardTape(x_, &critic_tape_, pool);
+  const Matrix& v = critic_->Output(critic_tape_);
+  critic_grad_.ResizeForOverwrite(n, 1);
+  advantages_.resize(static_cast<size_t>(n));
   double critic_loss = 0.0;
-  std::vector<double> advantages(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const double diff = v.At(i, 0) - targets[static_cast<size_t>(i)];
+    const double diff = v.At(i, 0) - targets_[static_cast<size_t>(i)];
     critic_loss += diff * diff;
-    critic_grad.At(i, 0) = static_cast<float>(2.0 * diff / n);
+    critic_grad_.At(i, 0) = static_cast<float>(2.0 * diff / n);
     // Advantage = TD error (Eq 11).
-    advantages[static_cast<size_t>(i)] = -diff;
+    advantages_[static_cast<size_t>(i)] = -diff;
   }
   last_critic_loss_ = critic_loss / n;
   if (guard_ != nullptr && !std::isfinite(last_critic_loss_)) {
@@ -278,19 +286,20 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
     RollBack("non-finite critic loss");
     return;
   }
-  Mlp::Gradients critic_grads = critic_->MakeGradients();
-  critic_->Backward(critic_tape, critic_grad, &critic_grads, &backward_ws_);
-  critic_opt_->Step(critic_grads);
+  critic_grads_.Zero();
+  critic_->Backward(critic_tape_, critic_grad_, &critic_grads_, &backward_ws_,
+                    pool);
+  critic_opt_->Step(critic_grads_);
 
   if (options_.normalize_advantages && n > 1) {
     double mean = 0.0;
-    for (double a : advantages) mean += a;
+    for (double a : advantages_) mean += a;
     mean /= n;
     double var = 0.0;
-    for (double a : advantages) var += (a - mean) * (a - mean);
+    for (double a : advantages_) var += (a - mean) * (a - mean);
     var /= n;
     const double stddev = std::sqrt(var) + 1e-6;
-    for (double& a : advantages) a = (a - mean) / stddev;
+    for (double& a : advantages_) a = (a - mean) / stddev;
   }
 
   if (learn_batches_ < options_.actor_warmup_batches) {
@@ -315,38 +324,37 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
                    static_cast<double>(learn_batches_)));
 
   // --- Actor: policy gradient with entropy regularisation (Eq 8).
-  Mlp::Tape& actor_tape = actor_tape_;  // buffers reused across updates
-  actor_->ForwardTape(x, &actor_tape);
-  const Matrix& logits = actor_->Output(actor_tape);
-  Matrix actor_grad(n, num_actions_);
+  actor_->ForwardTape(x_, &actor_tape_, pool);
+  const Matrix& logits = actor_->Output(actor_tape_);
+  actor_grad_.ResizeForOverwrite(n, num_actions_);
   double total_entropy = 0.0;
   double total_actor_loss = 0.0;
   for (int i = 0; i < n; ++i) {
     const Transition& t = transitions[static_cast<size_t>(i)];
     space_->Mask(t.region, t.must_charge, t.may_charge, &mask_scratch_);
-    std::vector<float> probs(logits.Row(i), logits.Row(i) + num_actions_);
-    MaskedSoftmax(mask_scratch_, &probs);
+    probs_.assign(logits.Row(i), logits.Row(i) + num_actions_);
+    MaskedSoftmax(mask_scratch_, &probs_);
     double entropy = 0.0;
     for (int a = 0; a < num_actions_; ++a) {
-      const double p = probs[static_cast<size_t>(a)];
+      const double p = probs_[static_cast<size_t>(a)];
       if (p > 0.0) entropy -= p * std::log(p);
     }
     total_entropy += entropy;
-    const double adv = advantages[static_cast<size_t>(i)];
-    const double p_taken = probs[static_cast<size_t>(t.action_index)];
+    const double adv = advantages_[static_cast<size_t>(i)];
+    const double p_taken = probs_[static_cast<size_t>(t.action_index)];
     if (p_taken > 0.0) total_actor_loss += -adv * std::log(p_taken);
     for (int a = 0; a < num_actions_; ++a) {
       if (!mask_scratch_[static_cast<size_t>(a)]) {
-        actor_grad.At(i, a) = 0.0f;
+        actor_grad_.At(i, a) = 0.0f;
         continue;
       }
-      const double p = probs[static_cast<size_t>(a)];
+      const double p = probs_[static_cast<size_t>(a)];
       // dL/dlogit = adv*(pi - onehot) + c*pi*(log pi + H)
       double g = adv * (p - (a == t.action_index ? 1.0 : 0.0));
       if (p > 0.0) {
         g += entropy_bonus * p * (std::log(p) + entropy);
       }
-      actor_grad.At(i, a) = static_cast<float>(g / n);
+      actor_grad_.At(i, a) = static_cast<float>(g / n);
     }
   }
   last_entropy_ = total_entropy / n;
@@ -355,9 +363,10 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
     RollBack("non-finite actor logits/entropy");
     return;
   }
-  Mlp::Gradients actor_grads = actor_->MakeGradients();
-  actor_->Backward(actor_tape, actor_grad, &actor_grads, &backward_ws_);
-  actor_opt_->Step(actor_grads);
+  actor_grads_.Zero();
+  actor_->Backward(actor_tape_, actor_grad_, &actor_grads_, &backward_ws_,
+                   pool);
+  actor_opt_->Step(actor_grads_);
 
   critic_target_->SoftUpdateFrom(*critic_, options_.target_tau);
   ++learn_batches_;

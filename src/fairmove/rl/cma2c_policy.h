@@ -147,7 +147,19 @@ class Cma2cPolicy : public DisplacementPolicy {
   Matrix batch_x_;
   Matrix batch_logits_;
   Mlp::ShardedWorkspace forward_ws_;
-  // Training scratch reused across Update() calls.
+  // Training scratch reused across Update() calls: once the batch size is
+  // stable, an update allocates nothing (pinned by sim_alloc_test).
+  Matrix x_;
+  Matrix next_x_;
+  Matrix next_v_;
+  Matrix critic_grad_;
+  Matrix actor_grad_;
+  std::vector<double> targets_;
+  std::vector<double> advantages_;
+  std::vector<float> probs_;
+  Mlp::Gradients critic_grads_;
+  Mlp::Gradients actor_grads_;
+  Mlp::ShardedWorkspace target_ws_;
   Mlp::Tape critic_tape_;
   Mlp::Tape actor_tape_;
   Mlp::Workspace backward_ws_;

@@ -133,7 +133,7 @@ Status DqnPolicy::RestoreState(BinaryReader* in) {
   *q_net_ = std::move(q_net);
   *target_net_ = std::move(target);
   FM_RETURN_IF_ERROR(optimizer_->RestoreState(in));
-  FM_RETURN_IF_ERROR(replay_.RestoreState(in));
+  FM_RETURN_IF_ERROR(replay_.RestoreState(in, features_.dim(), num_actions_));
   FM_RETURN_IF_ERROR(ReadRngState(in, &rng_));
   int64_t learn_batches = 0, grad_steps = 0;
   FM_RETURN_IF_ERROR(in->ReadI64(&learn_batches));

@@ -80,11 +80,43 @@ void WriteTransitions(const std::vector<DisplacementPolicy::Transition>& ts,
   for (const auto& t : ts) WriteTransition(t, out);
 }
 
-Status ReadTransitions(BinaryReader* in, uint64_t count,
+namespace {
+
+Status CheckTransitionFits(const DisplacementPolicy::Transition& t,
+                           uint64_t index, int state_dim, int num_actions) {
+  const auto refuse = [index](const std::string& what) {
+    return Status::InvalidArgument("transition " + std::to_string(index) +
+                                   " does not fit this policy: " + what);
+  };
+  if (t.state.size() != static_cast<size_t>(state_dim)) {
+    return refuse("state has " + std::to_string(t.state.size()) +
+                  " features, expected " + std::to_string(state_dim));
+  }
+  if (!t.terminal && t.next_state.size() != static_cast<size_t>(state_dim)) {
+    return refuse("next_state has " + std::to_string(t.next_state.size()) +
+                  " features, expected " + std::to_string(state_dim));
+  }
+  if (t.action_index < 0 || t.action_index >= num_actions) {
+    return refuse("action index " + std::to_string(t.action_index) +
+                  " outside [0, " + std::to_string(num_actions) + ")");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ReadTransitions(BinaryReader* in, uint64_t count, int state_dim,
+                       int num_actions,
                        std::vector<DisplacementPolicy::Transition>* out) {
+  const size_t base = out->size();
   for (uint64_t i = 0; i < count; ++i) {
     DisplacementPolicy::Transition t;
-    FM_RETURN_IF_ERROR(ReadTransition(in, &t));
+    Status st = ReadTransition(in, &t);
+    if (st.ok()) st = CheckTransitionFits(t, i, state_dim, num_actions);
+    if (!st.ok()) {
+      out->resize(base);
+      return st;
+    }
     out->push_back(std::move(t));
   }
   return Status::OK();
@@ -98,7 +130,8 @@ Status ReplayBuffer::SaveState(BinaryWriter* out) const {
   return Status::OK();
 }
 
-Status ReplayBuffer::RestoreState(BinaryReader* in) {
+Status ReplayBuffer::RestoreState(BinaryReader* in, int state_dim,
+                                  int num_actions) {
   uint64_t capacity = 0, size = 0, next = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&capacity));
   FM_RETURN_IF_ERROR(in->ReadU64(&size));
@@ -117,7 +150,7 @@ Status ReplayBuffer::RestoreState(BinaryReader* in) {
   }
   std::vector<DisplacementPolicy::Transition> data;
   data.reserve(capacity);
-  FM_RETURN_IF_ERROR(ReadTransitions(in, size, &data));
+  FM_RETURN_IF_ERROR(ReadTransitions(in, size, state_dim, num_actions, &data));
   data_ = std::move(data);
   size_ = static_cast<size_t>(size);
   next_ = static_cast<size_t>(next);

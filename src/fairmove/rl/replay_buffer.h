@@ -21,9 +21,15 @@ Status ReadTransition(BinaryReader* in, DisplacementPolicy::Transition* t);
 /// size field of the replay ring.
 void WriteTransitions(const std::vector<DisplacementPolicy::Transition>& ts,
                       BinaryWriter* out);
-/// Reads `count` transitions and appends them to `out`. A corrupt count
+/// Reads `count` transitions and appends them to `out`. Each must fit the
+/// policy that restores it, because its vectors are later copied into
+/// fixed-width batch rows unchecked: a `state_dim`-wide state, a
+/// `state_dim`-wide next_state unless terminal (terminal ones are empty),
+/// and an action index in [0, num_actions). Anything else is
+/// InvalidArgument, and on any error nothing is appended. A corrupt count
 /// fails at the end of the data instead of allocating up front.
-Status ReadTransitions(BinaryReader* in, uint64_t count,
+Status ReadTransitions(BinaryReader* in, uint64_t count, int state_dim,
+                       int num_actions,
                        std::vector<DisplacementPolicy::Transition>* out);
 
 /// Fixed-capacity uniform-sampling experience replay (for DQN). New
@@ -49,8 +55,9 @@ class ReplayBuffer {
   /// so a resumed run replays and overwrites in exactly the original order.
   Status SaveState(BinaryWriter* out) const;
   /// Mirror of SaveState. The blob's capacity must match this buffer's
-  /// (differently-sized rings would shift every later overwrite).
-  Status RestoreState(BinaryReader* in);
+  /// (differently-sized rings would shift every later overwrite), and every
+  /// transition must fit `state_dim` and `num_actions` (ReadTransitions).
+  Status RestoreState(BinaryReader* in, int state_dim, int num_actions);
 
  private:
   size_t capacity_;

@@ -128,7 +128,8 @@ Status TbaPolicy::RestoreState(BinaryReader* in) {
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
   std::vector<Transition> buffer;
-  FM_RETURN_IF_ERROR(ReadTransitions(in, buffered, &buffer));
+  FM_RETURN_IF_ERROR(
+      ReadTransitions(in, buffered, feature_dim_, num_actions_, &buffer));
   baseline_ = baseline;
   baseline_init_ = baseline_init;
   buffer_ = std::move(buffer);

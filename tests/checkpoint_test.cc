@@ -25,8 +25,11 @@
 #include "fairmove/resilience/checkpoint.h"
 #include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/dqn_policy.h"
+#include "fairmove/rl/features.h"
+#include "fairmove/rl/replay_buffer.h"
 #include "fairmove/rl/tba_policy.h"
 #include "fairmove/rl/tql_policy.h"
+#include "synthetic_transitions.h"
 
 namespace fairmove {
 namespace {
@@ -142,6 +145,46 @@ TEST(BinaryCodecTest, RejectsMalformedBool) {
   BinaryReader r(w.str());
   bool b = false;
   EXPECT_FALSE(r.ReadBool(&b).ok());
+}
+
+// A restored transition is later copied into a fixed-width batch row as it
+// stands, so ReadTransitions refuses one that does not fit the reading
+// policy, and appends nothing when it does.
+TEST(BinaryCodecTest, ReadTransitionsRefusesMisfitsAndAppendsNothing) {
+  DisplacementPolicy::Transition good;
+  good.state.assign(5, 0.5f);
+  good.next_state.assign(5, -0.5f);
+  good.action_index = 2;
+  DisplacementPolicy::Transition terminal = good;
+  terminal.terminal = true;
+  terminal.next_state.clear();
+  DisplacementPolicy::Transition short_state = good;
+  short_state.state.pop_back();
+  DisplacementPolicy::Transition long_next = good;
+  long_next.next_state.assign(400, 1.0f);
+  DisplacementPolicy::Transition action_past_end = good;
+  action_past_end.action_index = 3;
+  DisplacementPolicy::Transition negative_action = good;
+  negative_action.action_index = -1;
+
+  const auto read = [](const std::vector<DisplacementPolicy::Transition>& ts,
+                       std::vector<DisplacementPolicy::Transition>* out) {
+    BinaryWriter w;
+    WriteTransitions(ts, &w);
+    BinaryReader r(w.str());
+    return ReadTransitions(&r, ts.size(), /*state_dim=*/5,
+                           /*num_actions=*/3, out);
+  };
+  std::vector<DisplacementPolicy::Transition> out(1);
+  ASSERT_TRUE(read({good, terminal}, &out).ok());
+  EXPECT_EQ(out.size(), 3u);
+  for (const auto& bad : {short_state, long_next, action_past_end,
+                          negative_action}) {
+    const Status st = read({good, terminal, bad}, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+    EXPECT_NE(st.message().find("transition 2"), std::string::npos) << st;
+    EXPECT_EQ(out.size(), 3u) << "a refused read appended transitions";
+  }
 }
 
 // ------------------------------------------------------------- atomic file --
@@ -343,6 +386,30 @@ TEST(PolicyStateTest, Cma2cRoundTripsBitExact) {
   }, 14519, 0x8559414Du);  // CA21 + ADM1 + GRD1, nested FMLP1
 }
 
+// The paper-size update: default 64x64 actor and critic on a 3,501-row
+// batch, which the row-sharded training passes split raggedly at 2, 3 and 4
+// lanes. Three updates (a critic warm-up, then two with the actor) must
+// leave the same state bytes at every lane count, and the bytes the serial
+// kernels left before training was sharded (recorded then, never edited).
+TEST(PolicyStateTest, Cma2cFullSizeUpdateIsLaneCountInvariant) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(system->sim(), 3501, /*seed=*/41);
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 2, 4}) {
+    SetGlobalThreads(lanes);
+    Cma2cPolicy::Options opt;
+    opt.actor_warmup_batches = 1;
+    Cma2cPolicy policy(system->sim(), opt);
+    for (int update = 0; update < 3; ++update) policy.Update(batch);
+    const std::string bytes = StateBytes(policy);
+    EXPECT_EQ(bytes.size(), 202393u) << lanes << " lanes";
+    EXPECT_EQ(Crc32(bytes), 0xBDC39E0Du) << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
 TEST(PolicyStateTest, DqnRoundTripsBitExact) {
   CheckStateRoundTrip([](const Simulator& sim) {
     DqnPolicy::Options opt;
@@ -366,6 +433,95 @@ TEST(PolicyStateTest, TbaRoundTripsBitExact) {
     opt.batch_size = 64;
     return std::make_unique<TbaPolicy>(sim, opt);
   }, 3159, 0x5026E9ADu);
+}
+
+/// Buffers one transition that does not fit the policy (Learn only queues
+/// it), saves the state, and expects a fresh policy to refuse the restore
+/// with InvalidArgument instead of carrying the transition into the next
+/// update's batch matrix.
+template <typename MakePolicyFn>
+void ExpectMisfitTransitionRefused(
+    const Simulator& sim, MakePolicyFn make_policy,
+    const DisplacementPolicy::Transition& misfit, const char* what) {
+  auto policy = make_policy(sim);
+  policy->Learn({misfit});
+  const std::string bytes = StateBytes(*policy);
+  auto fresh = make_policy(sim);
+  BinaryReader in(bytes);
+  const Status st = fresh->RestoreState(&in);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << ": " << st;
+}
+
+/// A transition that fits a policy with `state_dim` features, then the
+/// misfits a checkpoint could carry: a short state, a 400-float next_state,
+/// and an action index one past the action space.
+struct Misfits {
+  DisplacementPolicy::Transition short_state, long_next_state, bad_action;
+};
+
+Misfits MakeMisfits(const Simulator& sim, int state_dim) {
+  DisplacementPolicy::Transition fit = SyntheticTransitions(sim, 2, 3)[1];
+  fit.state.resize(static_cast<size_t>(state_dim), 0.25f);
+  fit.next_state.resize(static_cast<size_t>(state_dim), 0.25f);
+  Misfits m{fit, fit, fit};
+  m.short_state.state.pop_back();
+  m.long_next_state.next_state.assign(400, 1.0f);
+  m.bad_action.action_index = sim.action_space().size();
+  return m;
+}
+
+TEST(PolicyStateTest, Cma2cRefusesMisfitTransitions) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const auto make = [](const Simulator& sim) {
+    Cma2cPolicy::Options opt;
+    opt.actor_hidden = {8};
+    opt.critic_hidden = {8};
+    opt.batch_size = 4;
+    return std::make_unique<Cma2cPolicy>(sim, opt);
+  };
+  const Misfits m =
+      MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
+  ExpectMisfitTransitionRefused(system->sim(), make, m.short_state, "state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+                                "next_state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+}
+
+TEST(PolicyStateTest, TbaRefusesMisfitTransitions) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const auto make = [](const Simulator& sim) {
+    TbaPolicy::Options opt;
+    opt.hidden = {8};
+    opt.batch_size = 64;
+    return std::make_unique<TbaPolicy>(sim, opt);
+  };
+  const Misfits m =
+      MakeMisfits(system->sim(), make(system->sim())->feature_dim());
+  ExpectMisfitTransitionRefused(system->sim(), make, m.short_state, "state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+                                "next_state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+}
+
+// DQN's Learn already refuses a foreign state, so only the next_state and
+// the action can reach its replay ring unchecked.
+TEST(PolicyStateTest, DqnRefusesMisfitTransitions) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const auto make = [](const Simulator& sim) {
+    DqnPolicy::Options opt;
+    opt.hidden = {8};
+    opt.replay_capacity = 16;
+    opt.min_replay = 16;
+    return std::make_unique<DqnPolicy>(sim, opt);
+  };
+  const Misfits m =
+      MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
+  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+                                "next_state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
 }
 
 TEST(PolicyStateTest, Cma2cRefusesForeignAndGuardlessRestores) {

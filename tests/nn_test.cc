@@ -65,18 +65,13 @@ TEST(MatrixTest, TransposedProductsAgreeWithExplicitTranspose) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i], 1e-5);
   }
-  // a * b^T via MatMulTransB vs hand-built b^T (shapes: [4x3]*[5x3]^T).
-  Matrix c(5, 3);
-  c.RandomGaussian(rng, 1.0);
-  Matrix ct(3, 5);
-  for (int i = 0; i < 5; ++i) {
-    for (int j = 0; j < 3; ++j) ct.At(j, i) = c.At(i, j);
-  }
-  Matrix expected2, got2;
-  MatMul(a, ct, &expected2);
-  MatMulTransB(a, c, &got2);
-  for (size_t i = 0; i < got2.size(); ++i) {
-    EXPECT_NEAR(got2.data()[i], expected2.data()[i], 1e-5);
+  // Transpose builds the same a^T, exactly.
+  Matrix at2;
+  Transpose(a, &at2);
+  ASSERT_EQ(at2.rows(), 3);
+  ASSERT_EQ(at2.cols(), 4);
+  for (size_t i = 0; i < at.size(); ++i) {
+    EXPECT_EQ(at2.data()[i], at.data()[i]);
   }
 }
 
@@ -113,18 +108,6 @@ TEST(MatrixTest, MatMulInfTimesZeroIsNan) {
   b.At(0, 0) = std::numeric_limits<float>::infinity();
   MatMul(a, b, &out);
   EXPECT_TRUE(std::isnan(out.At(0, 0)));
-}
-
-TEST(MatrixTest, AddRowBiasAndSumRows) {
-  Matrix m(2, 3);
-  AddRowBias({1.0f, 2.0f, 3.0f}, &m);
-  EXPECT_FLOAT_EQ(m.At(0, 0), 1.0f);
-  EXPECT_FLOAT_EQ(m.At(1, 2), 3.0f);
-  std::vector<float> sums;
-  SumRows(m, &sums);
-  EXPECT_FLOAT_EQ(sums[0], 2.0f);
-  EXPECT_FLOAT_EQ(sums[1], 4.0f);
-  EXPECT_FLOAT_EQ(sums[2], 6.0f);
 }
 
 // ------------------------------------------------------------------- Mlp --

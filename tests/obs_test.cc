@@ -259,6 +259,42 @@ TEST(SpanTest, NestedSpansBuildAHierarchicalTree) {
   EXPECT_EQ(Profiler::ReportText(), "");
 }
 
+// The trainer is the only caller of Learn, so its span attributes every
+// learning policy's update time: a TQL training episode must show a
+// train/learn node under train/episode.
+TEST(SpanTest, TrainingEpisodeNestsLearnUnderEpisode) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  cfg.trainer.episodes = 1;
+  cfg.trainer.slots_per_episode = 12;
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  auto policy = MakePolicy(PolicyKind::kTql, system->sim(), 5);
+  Trainer trainer = system->MakeTrainer();
+  Profiler::SetEnabled(true);
+  Profiler::Reset();
+  trainer.Train(policy.get());
+  Profiler::SetEnabled(false);
+  const std::string json = Profiler::ReportJson();
+  Profiler::Reset();
+
+  StatusOr<JsonValue> doc = ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << json;
+  const JsonValue* roots = doc.value().Find("spans");
+  ASSERT_NE(roots, nullptr) << json;
+  const auto child = [](const JsonValue* spans, const std::string& name) {
+    const JsonValue* found = nullptr;
+    if (spans == nullptr) return found;
+    for (const JsonValue& node : spans->items) {
+      if (node.StringOr("name", "") == name) found = &node;
+    }
+    return found;
+  };
+  const JsonValue* episode = child(roots, "train/episode");
+  ASSERT_NE(episode, nullptr) << json;
+  const JsonValue* learn = child(episode->Find("children"), "train/learn");
+  ASSERT_NE(learn, nullptr) << json;
+  EXPECT_GE(learn->NumberOr("count", 0.0), 1.0) << json;
+}
+
 // ------------------------------------------------------ Manifest & hub ----
 
 TEST(ManifestTest, RendersSchemaFieldsAndExtras) {

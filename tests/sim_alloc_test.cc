@@ -5,7 +5,7 @@
 // inside the measured window on any thread (std::deque churn, a per-slot
 // std::vector, a logging string, a pool task) fails the test with an exact
 // count. The same hook pins the batched
-// FeatureExtractor::ExtractAll path.
+// FeatureExtractor::ExtractAll path and a warm CMA2C update.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,10 @@
 #include "fairmove/geo/city_builder.h"
 #include "fairmove/nn/matrix.h"
 #include "fairmove/pricing/tou_tariff.h"
+#include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/features.h"
 #include "fairmove/sim/simulator.h"
+#include "synthetic_transitions.h"
 
 namespace {
 
@@ -197,6 +199,30 @@ TEST(SimAllocTest, WarmFeatureExtractionDoesZeroHeapAllocations) {
   g_counting.store(false);
   EXPECT_EQ(counter.count(), 0)
       << "warm ExtractAll allocated on the batched path";
+}
+
+// The paper's 3,500-row batch through a default CMA2C update, actor path
+// included. Every batch matrix, tape, gradient set and shard workspace is
+// reused, so once one update at a lane count has sized them, the next
+// allocates nothing, on the caller or on a pool lane.
+TEST(SimAllocTest, WarmCma2cUpdateDoesZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41);
+  Cma2cPolicy::Options opt;
+  opt.actor_warmup_batches = 0;
+  Cma2cPolicy policy(*stack.sim, opt);
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Update(batch);  // sizes the scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Update(batch);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "a warm Cma2cPolicy::Update allocated at " << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
 }
 
 }  // namespace

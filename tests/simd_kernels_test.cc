@@ -8,13 +8,18 @@
 // shapes chosen to exercise every code path: p-remainders (k % 4 != 0),
 // j-lane tails (n % lane width != 0), the kColBlock=256 column tiling
 // (n > 256), and non-finite inputs. The threaded tests pin the same
-// property through Mlp::Forward at 1 and 4 threads.
+// property through Mlp::Forward at 1 and 4 threads, and through the
+// row-sharded training passes (ForwardTape, Backward) at 1 to 4 lanes
+// against a naive reference of the whole taped pass and its gradients.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fairmove/common/parallel.h"
@@ -95,17 +100,6 @@ void RefMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   }
 }
 
-void RefMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
-  out->Resize(a.rows(), b.rows());
-  for (int i = 0; i < a.rows(); ++i) {
-    for (int j = 0; j < b.rows(); ++j) {
-      float acc = 0.0f;
-      for (int p = 0; p < a.cols(); ++p) acc += a.At(i, p) * b.At(j, p);
-      out->Row(i)[j] = acc;
-    }
-  }
-}
-
 struct Shape {
   int m, k, n;
 };
@@ -139,18 +133,15 @@ TEST(SimdKernelEquivalence, MatMulTransAMatchesNaiveReferenceBitForBit) {
     MatMulTransA(a, b, &got);
     RefMatMulTransA(a, b, &want);
     ExpectBitEqual(got, want, "MatMulTransA");
-  }
-}
-
-TEST(SimdKernelEquivalence, MatMulTransBMatchesNaiveReferenceBitForBit) {
-  for (const Shape& s : kShapes) {
-    Matrix a(s.m, s.k), b(s.n, s.k);  // b is [n x k]: out = a b^T
-    Fill(&a, 5);
-    Fill(&b, 6);
-    Matrix got, want;
-    MatMulTransB(a, b, &got);
-    RefMatMulTransB(a, b, &want);
-    ExpectBitEqual(got, want, "MatMulTransB");
+    // The same product as three ragged row blocks over stale contents: each
+    // block starts from zero and touches only its own rows.
+    Matrix blocks(s.m, s.n);
+    Fill(&blocks, 5);
+    const int cut1 = s.m / 3, cut2 = (2 * s.m) / 3 + 1;
+    MatMulTransARows(a, b, 0, cut1, &blocks);
+    MatMulTransARows(a, b, cut1, std::min(cut2, s.m), &blocks);
+    MatMulTransARows(a, b, std::min(cut2, s.m), s.m, &blocks);
+    ExpectBitEqual(blocks, want, "MatMulTransARows");
   }
 }
 
@@ -186,15 +177,6 @@ TEST(SimdKernelEquivalence, NaNInputsPropagateBitForBit) {
     RefMatMul(a, b, &want);
     ExpectBitEqual(got, want, "MatMul NaN");
     EXPECT_TRUE(std::isnan(got.At(0, 0))) << "0 * NaN was zero-skipped";
-    // The same operands through the transposed kernel.
-    Matrix got_tb, want_tb;
-    Matrix bt(s.n, s.k);
-    for (int i = 0; i < s.k; ++i) {
-      for (int j = 0; j < s.n; ++j) bt.Row(j)[i] = b.At(i, j);
-    }
-    MatMulTransB(a, bt, &got_tb);
-    RefMatMulTransB(a, bt, &want_tb);
-    ExpectBitEqual(got_tb, want_tb, "MatMulTransB NaN");
   }
 }
 
@@ -216,14 +198,6 @@ TEST(SimdKernelEquivalence, InfInputsPropagateBitForBit) {
     MatMul(a, b, &got);
     RefMatMul(a, b, &want);
     ExpectBitEqual(got, want, "MatMul Inf");
-    Matrix got_tb, want_tb;
-    Matrix bt(s.n, s.k);
-    for (int i = 0; i < s.k; ++i) {
-      for (int j = 0; j < s.n; ++j) bt.Row(j)[i] = b.At(i, j);
-    }
-    MatMulTransB(a, bt, &got_tb);
-    RefMatMulTransB(a, bt, &want_tb);
-    ExpectBitEqual(got_tb, want_tb, "MatMulTransB Inf");
   }
 }
 
@@ -270,6 +244,193 @@ TEST(SimdKernelEquivalence, ThreadedForwardBitIdenticalAcrossThreadCounts) {
     Matrix threaded;
     net.Forward(x, &threaded, &pool, &ws);
     ExpectBitEqual(threaded, serial, "threaded Forward");
+  }
+}
+
+// --- Row-sharded training passes against a naive reference -------------
+
+/// The taped pass and its gradients, computed with plain ascending-index
+/// loops in the documented per-element order: pre = (0 + sum_p in*W) + b,
+/// post = f(pre); the gradients start from zero (as MakeGradients leaves
+/// them) and each adds one from-zero sum over the batch rows; the delta
+/// below a layer is the from-zero sum_q delta*W (ascending q), then f'.
+struct RefPass {
+  std::vector<Matrix> pre, post, dw;
+  std::vector<std::vector<float>> db;
+};
+
+RefPass RefTrainingPass(const Mlp& net, const Matrix& x, const Matrix& grad) {
+  const int layers = net.num_layers();
+  const int rows = x.rows();
+  const auto activate = [&net](float v) {
+    switch (net.hidden_activation()) {
+      case Activation::kRelu:
+        return 0.0f < v ? v : 0.0f;
+      case Activation::kTanh:
+        return FastTanh(v);
+      case Activation::kLinear:
+        break;
+    }
+    return v;
+  };
+  RefPass ref;
+  ref.pre.resize(static_cast<size_t>(layers));
+  ref.post.resize(static_cast<size_t>(layers));
+  ref.dw.resize(static_cast<size_t>(layers));
+  ref.db.resize(static_cast<size_t>(layers));
+  for (int l = 0; l < layers; ++l) {
+    const Matrix& in = l == 0 ? x : ref.post[static_cast<size_t>(l - 1)];
+    const Matrix& w = net.weights()[static_cast<size_t>(l)];
+    const std::vector<float>& b = net.biases()[static_cast<size_t>(l)];
+    Matrix& pre = ref.pre[static_cast<size_t>(l)];
+    Matrix& post = ref.post[static_cast<size_t>(l)];
+    pre.Resize(rows, w.cols());
+    post.Resize(rows, w.cols());
+    for (int r = 0; r < rows; ++r) {
+      for (int j = 0; j < w.cols(); ++j) {
+        float acc = 0.0f;
+        for (int p = 0; p < w.rows(); ++p) acc += in.At(r, p) * w.At(p, j);
+        acc += b[static_cast<size_t>(j)];
+        pre.At(r, j) = acc;
+        post.At(r, j) = l + 1 == layers ? acc : activate(acc);
+      }
+    }
+  }
+  Matrix delta = grad;
+  for (int l = layers - 1; l >= 0; --l) {
+    const Matrix& in = l == 0 ? x : ref.post[static_cast<size_t>(l - 1)];
+    const Matrix& w = net.weights()[static_cast<size_t>(l)];
+    Matrix& dw = ref.dw[static_cast<size_t>(l)];
+    std::vector<float>& db = ref.db[static_cast<size_t>(l)];
+    dw.Resize(w.rows(), w.cols());
+    db.assign(static_cast<size_t>(w.cols()), 0.0f);
+    for (int i = 0; i < w.rows(); ++i) {
+      for (int j = 0; j < w.cols(); ++j) {
+        float acc = 0.0f;
+        for (int p = 0; p < rows; ++p) acc += in.At(p, i) * delta.At(p, j);
+        dw.At(i, j) += acc;
+      }
+    }
+    for (int j = 0; j < w.cols(); ++j) {
+      float acc = 0.0f;
+      for (int p = 0; p < rows; ++p) acc += delta.At(p, j);
+      db[static_cast<size_t>(j)] += acc;
+    }
+    if (l == 0) break;
+    const Matrix& post = ref.post[static_cast<size_t>(l - 1)];
+    Matrix prev(rows, w.rows());
+    for (int p = 0; p < rows; ++p) {
+      for (int i = 0; i < w.rows(); ++i) {
+        float acc = 0.0f;
+        for (int q = 0; q < w.cols(); ++q) acc += delta.At(p, q) * w.At(i, q);
+        const float t = post.At(p, i);
+        if (net.hidden_activation() == Activation::kRelu) {
+          if (t <= 0.0f) acc = 0.0f;
+        } else if (net.hidden_activation() == Activation::kTanh) {
+          acc *= 1.0f - t * t;
+        }
+        prev.At(p, i) = acc;
+      }
+    }
+    delta = std::move(prev);
+  }
+  return ref;
+}
+
+/// Byte-compares the sharded ForwardTape and Backward of `net` on pools of
+/// 1 to 4 lanes with the reference. One tape, workspace and gradient set
+/// serve every lane count, so stale contents from a differently sharded
+/// pass must not leak into the next.
+void ExpectTrainingPassesMatchReference(const Mlp& net, const Matrix& x,
+                                        const Matrix& grad,
+                                        const std::string& label) {
+  const RefPass ref = RefTrainingPass(net, x, grad);
+  Mlp::Tape tape;
+  Mlp::Workspace ws;
+  Mlp::Gradients grads = net.MakeGradients();
+  for (int lanes = 1; lanes <= 4; ++lanes) {
+    ThreadPool pool(lanes);
+    const std::string where = label + " at " + std::to_string(lanes) +
+                              " lanes, " + std::to_string(x.rows()) + " rows";
+    net.ForwardTape(x, &tape, &pool);
+    grads.Zero();
+    net.Backward(tape, grad, &grads, &ws, &pool);
+    for (size_t l = 0; l < ref.pre.size(); ++l) {
+      const std::string layer = where + ", layer " + std::to_string(l);
+      ExpectBitEqual(tape.pre[l], ref.pre[l], (layer + " pre").c_str());
+      ExpectBitEqual(tape.post[l], ref.post[l], (layer + " post").c_str());
+      ExpectBitEqual(grads.dw[l], ref.dw[l], (layer + " dw").c_str());
+      ASSERT_EQ(grads.db[l].size(), ref.db[l].size()) << layer;
+      for (size_t j = 0; j < ref.db[l].size(); ++j) {
+        ASSERT_TRUE(BitEqual(grads.db[l][j], ref.db[l][j]))
+            << layer << " db mismatch at " << j << ": " << grads.db[l][j]
+            << " vs " << ref.db[l][j];
+      }
+    }
+  }
+}
+
+/// The paper's network shapes: 40 features, two 64-wide hidden layers, a
+/// 1-wide (critic) or 14-wide (actor) linear head.
+Mlp PolicyShapedNet(Activation activation, int out) {
+  return Mlp({40, 64, 64, out}, activation, /*seed=*/7 + out);
+}
+
+// Row counts straddle the 64-rows-per-shard threshold (1 and 63 stay one
+// shard, 129 is the first two-shard batch), and 3,500 is the paper's batch,
+// split raggedly at 3 lanes.
+TEST(SimdKernelEquivalence, ShardedTrainingPassesMatchNaiveReference) {
+  for (Activation activation : {Activation::kRelu, Activation::kTanh}) {
+    for (int out : {1, 14}) {
+      const Mlp net = PolicyShapedNet(activation, out);
+      for (int rows : {1, 63, 64, 65, 129, 3500}) {
+        Matrix x(rows, 40), grad(rows, out);
+        Fill(&x, 20 + static_cast<uint64_t>(rows));
+        Fill(&grad, 30 + static_cast<uint64_t>(rows));
+        ExpectTrainingPassesMatchReference(
+            net, x, grad,
+            std::string(activation == Activation::kRelu ? "relu" : "tanh") +
+                " out=" + std::to_string(out));
+      }
+    }
+  }
+}
+
+// Non-finite weights in the output layer: the forward pass poisons only
+// that head column, and the hidden layers' gradients see them only through
+// the propagated delta (delta * W^T). As in the kernel tests above, NaN and
+// Inf run separately so every NaN in one pass shares one bit pattern.
+TEST(SimdKernelEquivalence, NaNWeightsPropagateThroughShardedBackward) {
+  for (Activation activation : {Activation::kRelu, Activation::kTanh}) {
+    for (int out : {1, 14}) {
+      Mlp net = PolicyShapedNet(activation, out);
+      Matrix& head = net.weights().back();
+      head.At(3, out - 1) = kNaN;
+      head.At(40, 0) = kNaN;
+      for (int rows : {65, 200}) {
+        Matrix x(rows, 40), grad(rows, out);
+        Fill(&x, 40 + static_cast<uint64_t>(rows));
+        Fill(&grad, 50 + static_cast<uint64_t>(rows));
+        ExpectTrainingPassesMatchReference(net, x, grad, "NaN head");
+      }
+    }
+  }
+}
+
+TEST(SimdKernelEquivalence, InfWeightsPropagateThroughShardedBackward) {
+  for (Activation activation : {Activation::kRelu, Activation::kTanh}) {
+    for (int out : {1, 14}) {
+      Mlp net = PolicyShapedNet(activation, out);
+      Matrix& head = net.weights().back();
+      head.At(3, out - 1) = kInf;
+      head.At(40, 0) = -kInf;
+      for (int rows : {65, 200}) {
+        Matrix x(rows, 40), grad(rows, out);
+        Fill(&x, 60 + static_cast<uint64_t>(rows));
+        Fill(&grad, 70 + static_cast<uint64_t>(rows));
+        ExpectTrainingPassesMatchReference(net, x, grad, "Inf head");
+      }
+    }
   }
 }
 
