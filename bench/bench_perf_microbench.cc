@@ -9,6 +9,7 @@
 // `perfgate` label — compares every fresh run against.
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -18,15 +19,18 @@
 #include <utility>
 #include <vector>
 
+#include "fairmove/common/parallel.h"
 #include "fairmove/core/fairmove.h"
 #include "fairmove/obs/flight_recorder.h"
 #include "fairmove/obs/jsonl.h"
 #include "fairmove/obs/latency.h"
 #include "fairmove/nn/adam.h"
 #include "fairmove/nn/mlp.h"
+#include "fairmove/nn/simd.h"
 #include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/features.h"
 #include "fairmove/rl/gt_policy.h"
+#include "synthetic_transitions.h"
 
 namespace fairmove {
 namespace {
@@ -276,6 +280,33 @@ void BM_MlpTrainStep(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainStep)->Arg(64)->Arg(512)->Arg(3500);
 
+// One paper-size CMA2C update (§III-D, Algorithm 1): the default 64x64 actor
+// and critic on 3,500 seeded synthetic transitions, actor path included,
+// sharded on GlobalPool() as in training. This update is the critical path
+// of the consolidated report. cpu time is the whole process's, so the pool
+// lanes' work counts at any lane count.
+void BM_Cma2cUpdate(benchmark::State& state) {
+  auto system = MakeSystem(0.04);
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(system->sim(), 3500, /*seed=*/41);
+  Cma2cPolicy::Options opt;
+  opt.actor_warmup_batches = 0;
+  Cma2cPolicy policy(system->sim(), opt);
+  policy.Update(batch);  // sizes the reused scratch
+  for (auto _ : state) {
+    policy.Update(batch);
+    benchmark::DoNotOptimize(policy.last_critic_loss());
+  }
+  state.counters["lanes"] = GlobalPool().num_threads();
+  state.counters["samples/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * 3500,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_Cma2cUpdate)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 // The flight-recorder hot path: one enabled check, one thread-local ring
 // load, a 24-byte slot store and a release head bump. This is the cost the
 // always-on recorder adds to every FM_SPAN and FM_FLIGHT_EVENT site, so the
@@ -361,8 +392,15 @@ bool WriteBenchJson(const std::string& path,
     entry.SetRaw("counters", counters.empty() ? "{}" : counters.Str());
     benchmarks.PushRaw(entry.Str());
   }
+  // The machine the numbers belong to: bench_gate reports a baseline taken
+  // under another kernel table (nn/simd.h) as not like for like.
+  JsonObject machine;
+  machine.Set("nproc", static_cast<int64_t>(sysconf(_SC_NPROCESSORS_ONLN)))
+      .Set("pool_lanes", GlobalPool().num_threads())
+      .Set("simd", simd::kIsaName);
   JsonObject doc;
   doc.Set("schema", "fairmove.bench.v1");
+  doc.SetRaw("machine", machine.Str());
   // What bench_gate compares: cpu time excludes other-process noise that
   // wall time picks up on a shared CI box.
   doc.Set("gate_metric", "cpu_ns_per_iter");

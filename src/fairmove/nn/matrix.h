@@ -74,29 +74,14 @@ class Matrix {
 };
 
 /// out = a * b. Shapes: [m x k] * [k x n] -> [m x n]. `out` is resized.
+/// Every output element sums its k contributions in ascending-p order from
+/// zero (simd::KernelTable::matmul_rows_accumulate), so row i of the result
+/// never depends on how many rows `a` has.
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 
-/// `rows` consecutive rows of MatMul: for each row i,
-/// out_i[j] += sum_p a_i[p] * b(p, j), accumulated in the pinned
-/// ascending-p order starting from whatever `out` holds (callers zero it
-/// first). Row i of `a` starts at a + i * b.rows(), row i of `out` at
-/// out + i * b.cols(), as in a row-major Matrix. This is the exact kernel
-/// MatMul runs per batch row; it is exposed so batched layers can shard
-/// row blocks across threads while staying bit-identical to the serial
-/// pass.
-void MatMulRowsAccumulate(const float* a, int rows, const Matrix& b,
-                          float* out);
-
-/// out = a^T * b. Shapes: [k x m]^T * [k x n] -> [m x n].
+/// out = a^T * b. Shapes: [k x m]^T * [k x n] -> [m x n]. `out` is resized.
+/// Same per-element order (simd::KernelTable::matmul_trans_a_rows).
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);
-
-/// Rows [row_begin, row_end) of out = a^T * b, overwritten; `out` must
-/// already be [a.cols() x b.cols()] and no other row is touched. Each
-/// element sums its k contributions in ascending-p order from zero, as
-/// MatMulTransA does, so disjoint row blocks can run concurrently and still
-/// give MatMulTransA's bits (the weight gradient of Mlp::Backward).
-void MatMulTransARows(const Matrix& a, const Matrix& b, int row_begin,
-                      int row_end, Matrix* out);
 
 /// out = m^T. `out` is resized.
 void Transpose(const Matrix& m, Matrix* out);

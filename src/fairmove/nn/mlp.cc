@@ -12,107 +12,7 @@
 
 namespace fairmove {
 
-float FastTanh(float x) {
-  // Clamp via ternaries: both comparisons are false for NaN, so a NaN
-  // input falls through unclamped and poisons the polynomial below.
-  // Beyond |x| = 10, float tanh is exactly +/-1 anyway.
-  const float xc = x > 10.0f ? 10.0f : (x < -10.0f ? -10.0f : x);
-  // tanh(x) = (e - 1) / (e + 1), e = exp(2x) = 2^v, v = 2x * log2(e).
-  const float v = xc * 2.885390081777927f;
-  // Round-to-nearest-even split v = n + f, f in [-0.5, 0.5], using the
-  // 1.5 * 2^23 magic constant (valid since |v| < 2^22). The bit pattern of
-  // (v + magic) is 0x4B400000 + n, which hands us n without a float->int
-  // cast — a NaN v must not reach such a cast (UB, and it would trap
-  // under -fsanitize=float-cast-overflow).
-  const float magic = 12582912.0f;  // 1.5 * 2^23
-  const float shifted = v + magic;
-  uint32_t sbits;
-  std::memcpy(&sbits, &shifted, sizeof(sbits));
-  const float nf = shifted - magic;
-  const float f = v - nf;  // exact (Sterbenz)
-  // 2^f = exp(t), t = f * ln(2), |t| <= 0.347: degree-6 Taylor keeps the
-  // truncation error below 1.3e-7 relative.
-  const float t = f * 0.6931471805599453f;
-  const float p =
-      1.0f +
-      t * (1.0f +
-           t * (0.5f +
-                t * (1.0f / 6.0f +
-                     t * (1.0f / 24.0f +
-                          t * (1.0f / 120.0f + t * (1.0f / 720.0f))))));
-  // Splice 2^n in as float bits: exponent field (n + 127) << 23. n is in
-  // [-29, 29] for finite inputs; for NaN the scale is garbage but p is
-  // already NaN, which is what we want to return.
-  float scale;
-  const uint32_t ebits = (sbits - 0x4B400000u + 127u) << 23;
-  std::memcpy(&scale, &ebits, sizeof(scale));
-  const float e = p * scale;
-  return (e - 1.0f) / (e + 1.0f);
-}
-
-void FastTanhN(float* data, size_t n) {
-  using simd::kFloatLanes;
-  size_t i = 0;
-  if constexpr (kFloatLanes > 1) {
-    // Lane-for-lane transcription of scalar FastTanh above: same constants,
-    // same operation order, unfused mul/add, and a compare/select clamp
-    // that (like the scalar ternaries) is false on NaN so a NaN input runs
-    // the polynomial unclamped and propagates. Keep the two in sync.
-    const simd::VecF ten = simd::Set1(10.0f);
-    const simd::VecF neg_ten = simd::Set1(-10.0f);
-    const simd::VecF two_log2e = simd::Set1(2.885390081777927f);
-    const simd::VecF magic = simd::Set1(12582912.0f);  // 1.5 * 2^23
-    const simd::VecF ln2 = simd::Set1(0.6931471805599453f);
-    const simd::VecF one = simd::Set1(1.0f);
-    const simd::VecF c2 = simd::Set1(0.5f);
-    const simd::VecF c3 = simd::Set1(1.0f / 6.0f);
-    const simd::VecF c4 = simd::Set1(1.0f / 24.0f);
-    const simd::VecF c5 = simd::Set1(1.0f / 120.0f);
-    const simd::VecF c6 = simd::Set1(1.0f / 720.0f);
-    const simd::VecI exp_bias = simd::Set1I(127 - 0x4B400000);
-    for (; i + kFloatLanes <= n; i += kFloatLanes) {
-      const simd::VecF x = simd::LoadU(data + i);
-      const simd::VecF xc = simd::Select(
-          simd::CmpGt(x, ten), ten,
-          simd::Select(simd::CmpLt(x, neg_ten), neg_ten, x));
-      const simd::VecF v = simd::Mul(xc, two_log2e);
-      const simd::VecF shifted = simd::Add(v, magic);
-      const simd::VecI sbits = simd::CastToInt(shifted);
-      const simd::VecF nf = simd::Sub(shifted, magic);
-      const simd::VecF f = simd::Sub(v, nf);
-      const simd::VecF t = simd::Mul(f, ln2);
-      simd::VecF p = simd::Add(c5, simd::Mul(t, c6));
-      p = simd::Add(c4, simd::Mul(t, p));
-      p = simd::Add(c3, simd::Mul(t, p));
-      p = simd::Add(c2, simd::Mul(t, p));
-      p = simd::Add(one, simd::Mul(t, p));
-      p = simd::Add(one, simd::Mul(t, p));
-      const simd::VecF scale =
-          simd::CastToFloat(simd::ShlI32<23>(simd::AddI32(sbits, exp_bias)));
-      const simd::VecF e = simd::Mul(p, scale);
-      simd::StoreU(data + i,
-                   simd::Div(simd::Sub(e, one), simd::Add(e, one)));
-    }
-  }
-  for (; i < n; ++i) data[i] = FastTanh(data[i]);
-}
-
 namespace {
-
-/// In-place ReLU matching std::max(0.0f, v) bit-for-bit: (0 < v) ? v : 0,
-/// so NaN and -0.0f both map to +0.0f exactly as the scalar loop did.
-void ReluN(float* data, size_t n) {
-  using simd::kFloatLanes;
-  size_t i = 0;
-  if constexpr (kFloatLanes > 1) {
-    const simd::VecF zero = simd::Zero();
-    for (; i + kFloatLanes <= n; i += kFloatLanes) {
-      const simd::VecF v = simd::LoadU(data + i);
-      simd::StoreU(data + i, simd::Select(simd::CmpLt(zero, v), v, zero));
-    }
-  }
-  for (; i < n; ++i) data[i] = std::max(0.0f, data[i]);
-}
 
 // Below this many rows per shard the fork/join overhead beats the win on
 // these small policy networks. The one threshold of every sharded pass.
@@ -172,15 +72,13 @@ void Mlp::AffineRows(int layer, const Matrix& in, int in_begin, int count,
                      Matrix* out, int out_begin) const {
   if (count == 0) return;
   const size_t li = static_cast<size_t>(layer);
-  const int n = sizes_[li + 1];
+  const Matrix& w = weights_[li];
   float* first = out->Row(out_begin);
-  std::fill(first, first + static_cast<size_t>(count) * n, 0.0f);
-  MatMulRowsAccumulate(in.Row(in_begin), count, weights_[li], first);
-  const std::vector<float>& bias = biases_[li];
-  for (int i = 0; i < count; ++i) {
-    float* out_row = out->Row(out_begin + i);
-    for (int j = 0; j < n; ++j) out_row[j] += bias[static_cast<size_t>(j)];
-  }
+  std::fill(first, first + static_cast<size_t>(count) * w.cols(), 0.0f);
+  const simd::KernelTable& kernels = simd::Kernels();
+  kernels.matmul_rows_accumulate(in.Row(in_begin), count, w.data(), w.rows(),
+                                 w.cols(), first);
+  kernels.add_bias_rows(first, count, w.cols(), biases_[li].data());
 }
 
 void Mlp::ActivateRows(float* data, size_t n) const {
@@ -188,10 +86,10 @@ void Mlp::ActivateRows(float* data, size_t n) const {
     case Activation::kLinear:
       return;
     case Activation::kRelu:
-      ReluN(data, n);
+      simd::Kernels().relu(data, n);
       return;
     case Activation::kTanh:
-      FastTanhN(data, n);
+      simd::Kernels().tanh(data, n);
       return;
   }
 }
@@ -201,12 +99,10 @@ void Mlp::ActivationGrad(const float* post, float* delta, size_t n) const {
     case Activation::kLinear:
       return;
     case Activation::kRelu:
-      for (size_t i = 0; i < n; ++i) {
-        if (post[i] <= 0.0f) delta[i] = 0.0f;
-      }
+      simd::Kernels().relu_grad(post, delta, n);
       return;
     case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) delta[i] *= 1.0f - post[i] * post[i];
+      simd::Kernels().tanh_grad(post, delta, n);
       return;
   }
 }
@@ -363,27 +259,24 @@ void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
     // aliases the current one.
     Matrix* prev = layer > 0 ? &ws->delta[li % 2] : nullptr;
     if (prev != nullptr) prev->ResizeForOverwrite(rows, in);
+    const simd::KernelTable& kernels = simd::Kernels();
     ForEachShard(pool, shards, [&](int s) {
       // dW += input^T * delta over this shard's block of dW rows.
       const ShardRange w(in, shards, s);
-      MatMulTransARows(input, *delta, w.begin, w.end, &ws->dw);
-      for (int i = w.begin; i < w.end; ++i) {
-        const float* dw = ws->dw.Row(i);
-        float* acc = acc_w.Row(i);
-        for (int j = 0; j < out; ++j) acc[j] += dw[j];
+      if (w.begin < w.end) {
+        kernels.matmul_trans_a_rows(input.data(), in, delta->data(), out, rows,
+                                    w.begin, w.end, ws->dw.data());
+        const size_t first = static_cast<size_t>(w.begin) * out;
+        kernels.add(acc_w.data() + first, ws->dw.data() + first,
+                    static_cast<size_t>(w.end - w.begin) * out);
       }
       // db += column sums of delta over this shard's block of columns.
       const ShardRange b(out, shards, s);
       if (b.begin < b.end) {
-        float* db = ws->db.data();
-        std::fill(db + b.begin, db + b.end, 0.0f);
-        for (int p = 0; p < rows; ++p) {
-          const float* row = delta->Row(p);
-          for (int j = b.begin; j < b.end; ++j) db[j] += row[j];
-        }
-        for (int j = b.begin; j < b.end; ++j) {
-          acc_b[static_cast<size_t>(j)] += db[j];
-        }
+        kernels.column_sums(delta->data(), rows, out, b.begin, b.end,
+                            ws->db.data());
+        kernels.add(acc_b.data() + b.begin, ws->db.data() + b.begin,
+                    static_cast<size_t>(b.end - b.begin));
       }
       if (prev == nullptr) return;
       // delta_prev = (delta * W^T) . f'(post) over this shard's batch rows.
@@ -392,8 +285,9 @@ void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
       const size_t first = static_cast<size_t>(r.begin) * in;
       const size_t end = static_cast<size_t>(r.end) * in;
       std::fill(prev->data() + first, prev->data() + end, 0.0f);
-      MatMulRowsAccumulate(delta->Row(r.begin), r.end - r.begin, ws->wt[li],
-                           prev->data() + first);
+      kernels.matmul_rows_accumulate(delta->Row(r.begin), r.end - r.begin,
+                                     ws->wt[li].data(), out, in,
+                                     prev->data() + first);
       ActivationGrad(tape.post[li - 1].data() + first, prev->data() + first,
                      end - first);
     });

@@ -65,8 +65,8 @@ class Mlp {
 
   /// Row-sharded batched inference: contiguous row ranges of `x` are
   /// processed concurrently on `pool`, each shard running the same
-  /// order-pinned per-row kernel (MatMulRowsAccumulate) into its own rows of
-  /// `y` with its own Workspace. Because every output row is computed by
+  /// order-pinned per-row kernel (matmul_rows_accumulate) into its own rows
+  /// of `y` with its own Workspace. Because every output row is computed by
   /// the identical per-row instruction sequence, the result is bit-identical
   /// to the serial Forward for every pool size and shard count. Falls back
   /// to one shard below 64 rows per shard (sharding overhead would
@@ -145,7 +145,7 @@ class Mlp {
  private:
   /// Rows [out_begin, out_begin + count) of `out` = the `count` rows of
   /// `in` from `in_begin`, times W plus b of `layer`: per element,
-  /// ascending-p accumulation from zero (MatMulRowsAccumulate), then the
+  /// ascending-p accumulation from zero (matmul_rows_accumulate), then the
   /// bias add. The one affine step of every forward pass.
   void AffineRows(int layer, const Matrix& in, int in_begin, int count,
                   Matrix* out, int out_begin) const;
@@ -179,24 +179,6 @@ void WriteNet(const Mlp& net, BinaryWriter* out);
 /// Mirror of WriteNet, with LoadNetLike's architecture check.
 StatusOr<Mlp> ReadNetLike(BinaryReader* in, const Mlp& like,
                           std::string_view what);
-
-/// Branch-free tanh used by the kTanh hidden activation. Evaluates
-/// (e - 1) / (e + 1) with e = exp(2x) built from a degree-6 polynomial
-/// exp2 and an exponent-bit splice, so the activation loop vectorises
-/// instead of making one libm call per element. Max absolute error vs
-/// std::tanh is < 4e-7 over the full range; FastTanh(0) == 0 exactly,
-/// |x| >= 10 saturates to +/-1, and NaN propagates (no clamping path can
-/// swallow a diverged pre-activation).
-float FastTanh(float x);
-
-/// In-place FastTanh over `data[0, n)`, running simd::kFloatLanes elements
-/// per iteration (explicit SIMD via nn/simd.h, scalar FastTanh tail).
-/// Every lane executes the identical unfused float sequence as the scalar
-/// FastTanh — including the compare/select clamp that lets NaN fall
-/// through — so the result is bit-identical element for element (pinned by
-/// simd_kernels_test). This is the kTanh activation kernel of every
-/// forward pass.
-void FastTanhN(float* data, size_t n);
 
 /// In-place masked softmax over `logits`: invalid entries get probability 0.
 /// At least one entry must be valid. Numerically stabilised.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -137,33 +138,35 @@ Status Cma2cPolicy::SaveState(BinaryWriter* out) const {
 }
 
 Status Cma2cPolicy::RestoreState(BinaryReader* in) {
+  // The whole record is parsed into copies first and committed last, so a
+  // refused record (a misfit transition, a guard mismatch, truncation)
+  // leaves the policy exactly as it was.
   FM_RETURN_IF_ERROR(
       ReadRecordHeader(in, kCma2cStateTag, kCma2cStateVersion, "CMA2C state"));
   FM_ASSIGN_OR_RETURN(Mlp actor, ReadNetLike(in, *actor_, "actor"));
   FM_ASSIGN_OR_RETURN(Mlp critic, ReadNetLike(in, *critic_, "critic"));
   FM_ASSIGN_OR_RETURN(Mlp target,
                       ReadNetLike(in, *critic_target_, "target critic"));
-  *actor_ = std::move(actor);
-  *critic_ = std::move(critic);
-  *critic_target_ = std::move(target);
-  FM_RETURN_IF_ERROR(actor_opt_->RestoreState(in));
-  FM_RETURN_IF_ERROR(critic_opt_->RestoreState(in));
-  FM_RETURN_IF_ERROR(ReadRngState(in, &rng_));
+  Adam actor_opt = *actor_opt_;
+  FM_RETURN_IF_ERROR(actor_opt.RestoreState(in));
+  Adam critic_opt = *critic_opt_;
+  FM_RETURN_IF_ERROR(critic_opt.RestoreState(in));
+  Rng rng = rng_;
+  FM_RETURN_IF_ERROR(ReadRngState(in, &rng));
   int64_t learn_batches = 0;
   FM_RETURN_IF_ERROR(in->ReadI64(&learn_batches));
   if (learn_batches < 0) {
     return Status::InvalidArgument("negative CMA2C update counter");
   }
-  learn_batches_ = static_cast<int>(learn_batches);
-  FM_RETURN_IF_ERROR(in->ReadF64(&last_critic_loss_));
-  FM_RETURN_IF_ERROR(in->ReadF64(&last_entropy_));
-  FM_RETURN_IF_ERROR(in->ReadF64(&last_actor_loss_));
+  double critic_loss = 0.0, entropy = 0.0, actor_loss = 0.0;
+  FM_RETURN_IF_ERROR(in->ReadF64(&critic_loss));
+  FM_RETURN_IF_ERROR(in->ReadF64(&entropy));
+  FM_RETURN_IF_ERROR(in->ReadF64(&actor_loss));
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
   std::vector<Transition> buffer;
   FM_RETURN_IF_ERROR(
       ReadTransitions(in, buffered, features_.dim(), num_actions_, &buffer));
-  buffer_ = std::move(buffer);
   bool has_guard = false;
   FM_RETURN_IF_ERROR(in->ReadBool(&has_guard));
   if (has_guard != (guard_ != nullptr)) {
@@ -173,12 +176,26 @@ Status Cma2cPolicy::RestoreState(BinaryReader* in) {
                   : "this policy has a DivergenceGuard armed but the "
                     "checkpoint carries none");
   }
+  std::optional<DivergenceGuard> guard;
   if (guard_ != nullptr) {
-    FM_RETURN_IF_ERROR(guard_->RestoreState(in));
     // The serialized Adam learning rates already include lr_scale decay,
     // but the moments belong with the restored parameters either way; no
     // optimizer rebuild here — the restored state IS the post-rollback one.
+    guard.emplace(*guard_);
+    FM_RETURN_IF_ERROR(guard->RestoreState(in));
   }
+  *actor_ = std::move(actor);
+  *critic_ = std::move(critic);
+  *critic_target_ = std::move(target);
+  *actor_opt_ = std::move(actor_opt);
+  *critic_opt_ = std::move(critic_opt);
+  rng_ = rng;
+  learn_batches_ = static_cast<int>(learn_batches);
+  last_critic_loss_ = critic_loss;
+  last_entropy_ = entropy;
+  last_actor_loss_ = actor_loss;
+  buffer_ = std::move(buffer);
+  if (guard.has_value()) *guard_ = std::move(*guard);
   return Status::OK();
 }
 

@@ -38,6 +38,7 @@ DqnPolicy::DqnPolicy(const Simulator& sim, Options options)
   target_net_->CopyParametersFrom(*q_net_);
   optimizer_ = std::make_unique<Adam>(
       q_net_.get(), Adam::Options{.learning_rate = options.learning_rate});
+  grads_ = q_net_->MakeGradients();
 }
 
 double DqnPolicy::CurrentEpsilon() const {
@@ -125,22 +126,30 @@ Status DqnPolicy::SaveState(BinaryWriter* out) const {
 }
 
 Status DqnPolicy::RestoreState(BinaryReader* in) {
+  // Parsed into copies first and committed last: a refused record leaves
+  // the policy exactly as it was.
   FM_RETURN_IF_ERROR(
       ReadRecordHeader(in, kDqnStateTag, kDqnStateVersion, "DQN state"));
   FM_ASSIGN_OR_RETURN(Mlp q_net, ReadNetLike(in, *q_net_, "Q-network"));
   FM_ASSIGN_OR_RETURN(Mlp target,
                       ReadNetLike(in, *target_net_, "target network"));
-  *q_net_ = std::move(q_net);
-  *target_net_ = std::move(target);
-  FM_RETURN_IF_ERROR(optimizer_->RestoreState(in));
-  FM_RETURN_IF_ERROR(replay_.RestoreState(in, features_.dim(), num_actions_));
-  FM_RETURN_IF_ERROR(ReadRngState(in, &rng_));
+  Adam optimizer = *optimizer_;
+  FM_RETURN_IF_ERROR(optimizer.RestoreState(in));
+  ReplayBuffer replay(replay_.capacity());
+  FM_RETURN_IF_ERROR(replay.RestoreState(in, features_.dim(), num_actions_));
+  Rng rng = rng_;
+  FM_RETURN_IF_ERROR(ReadRngState(in, &rng));
   int64_t learn_batches = 0, grad_steps = 0;
   FM_RETURN_IF_ERROR(in->ReadI64(&learn_batches));
   FM_RETURN_IF_ERROR(in->ReadI64(&grad_steps));
   if (learn_batches < 0 || grad_steps < 0) {
     return Status::InvalidArgument("negative DQN update counters");
   }
+  *q_net_ = std::move(q_net);
+  *target_net_ = std::move(target);
+  *optimizer_ = std::move(optimizer);
+  replay_ = std::move(replay);
+  rng_ = rng;
   learn_batches_ = static_cast<int>(learn_batches);
   grad_steps_ = grad_steps;
   return Status::OK();
@@ -159,30 +168,30 @@ void DqnPolicy::Learn(const std::vector<Transition>& transitions) {
 }
 
 void DqnPolicy::GradientStep() {
-  std::vector<const Transition*> batch;
-  replay_.Sample(static_cast<size_t>(options_.minibatch), rng_, &batch);
-  const int n = static_cast<int>(batch.size());
+  replay_.Sample(static_cast<size_t>(options_.minibatch), rng_, &sample_);
+  const int n = static_cast<int>(sample_.size());
   const int dim = features_.dim();
 
-  Matrix x(n, dim);
-  Matrix next_x(n, dim);
+  // Resize zero-fills (keeping capacity): terminal rows of next_x_ stay 0.
+  x_.Resize(n, dim);
+  next_x_.Resize(n, dim);
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *batch[static_cast<size_t>(i)];
-    std::copy(t.state.begin(), t.state.end(), x.Row(i));
+    const Transition& t = *sample_[static_cast<size_t>(i)];
+    std::copy(t.state.begin(), t.state.end(), x_.Row(i));
     if (!t.terminal) {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_x.Row(i));
+      std::copy(t.next_state.begin(), t.next_state.end(), next_x_.Row(i));
     }
   }
 
   // Targets: y = r + gamma^k * max_{a' valid} Q_target(s', a'); Double DQN
   // selects a' with the online network and scores it with the target.
-  Matrix next_q;
-  target_net_->Forward(next_x, &next_q);
-  Matrix next_q_online;
-  if (options_.double_dqn) q_net_->Forward(next_x, &next_q_online);
-  std::vector<float> targets(static_cast<size_t>(n));
+  target_net_->Forward(next_x_, &next_q_, &train_ws_);
+  if (options_.double_dqn) {
+    q_net_->Forward(next_x_, &next_q_online_, &train_ws_);
+  }
+  targets_.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *batch[static_cast<size_t>(i)];
+    const Transition& t = *sample_[static_cast<size_t>(i)];
     double y = t.reward;
     if (!t.terminal) {
       space_->Mask(t.next_region, t.next_must_charge, t.next_may_charge,
@@ -193,37 +202,37 @@ void DqnPolicy::GradientStep() {
         float best_online = -1e30f;
         for (int a = 0; a < num_actions_; ++a) {
           if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          if (next_q_online.At(i, a) > best_online) {
-            best_online = next_q_online.At(i, a);
+          if (next_q_online_.At(i, a) > best_online) {
+            best_online = next_q_online_.At(i, a);
             argmax = a;
           }
         }
-        best = next_q.At(i, argmax);
+        best = next_q_.At(i, argmax);
       } else {
         for (int a = 0; a < num_actions_; ++a) {
           if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          best = std::max(best, next_q.At(i, a));
+          best = std::max(best, next_q_.At(i, a));
         }
       }
       y += t.discount * best;
     }
-    targets[static_cast<size_t>(i)] = static_cast<float>(y);
+    targets_[static_cast<size_t>(i)] = static_cast<float>(y);
   }
 
-  // MSE on the taken action's Q value only.
-  Mlp::Tape& tape = tape_;  // buffers reused across gradient steps
-  q_net_->ForwardTape(x, &tape);
-  const Matrix& q = q_net_->Output(tape);
-  Matrix grad(n, num_actions_);
+  // MSE on the taken action's Q value only; every other gradient entry
+  // stays at Resize's zero.
+  q_net_->ForwardTape(x_, &tape_);
+  const Matrix& q = q_net_->Output(tape_);
+  grad_.Resize(n, num_actions_);
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *batch[static_cast<size_t>(i)];
+    const Transition& t = *sample_[static_cast<size_t>(i)];
     const float diff =
-        q.At(i, t.action_index) - targets[static_cast<size_t>(i)];
-    grad.At(i, t.action_index) = 2.0f * diff / static_cast<float>(n);
+        q.At(i, t.action_index) - targets_[static_cast<size_t>(i)];
+    grad_.At(i, t.action_index) = 2.0f * diff / static_cast<float>(n);
   }
-  Mlp::Gradients grads = q_net_->MakeGradients();
-  q_net_->Backward(tape, grad, &grads, &backward_ws_);
-  optimizer_->Step(grads);
+  grads_.Zero();
+  q_net_->Backward(tape_, grad_, &grads_, &train_ws_);
+  optimizer_->Step(grads_);
 
   if (++grad_steps_ % options_.target_sync_steps == 0) {
     target_net_->CopyParametersFrom(*q_net_);

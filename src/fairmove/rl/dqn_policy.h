@@ -102,9 +102,19 @@ class DqnPolicy : public DisplacementPolicy {
   Matrix batch_x_;
   Matrix batch_q_;
   Mlp::ShardedWorkspace forward_ws_;
-  // Training scratch reused across GradientStep() calls.
+  // Training scratch reused across GradientStep() calls: once the
+  // minibatch size is stable, a gradient step allocates nothing (pinned by
+  // sim_alloc_test). One workspace serves the target pass and backprop.
+  std::vector<const Transition*> sample_;
+  Matrix x_;
+  Matrix next_x_;
+  Matrix next_q_;
+  Matrix next_q_online_;
+  std::vector<float> targets_;
+  Matrix grad_;
+  Mlp::Gradients grads_;
   Mlp::Tape tape_;
-  Mlp::Workspace backward_ws_;
+  Mlp::Workspace train_ws_;
 };
 
 }  // namespace fairmove

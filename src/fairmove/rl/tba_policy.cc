@@ -37,6 +37,7 @@ TbaPolicy::TbaPolicy(const Simulator& sim, Options options)
   }
   optimizer_ = std::make_unique<Adam>(
       net_.get(), Adam::Options{.learning_rate = options.learning_rate});
+  grads_ = net_->MakeGradients();
 }
 
 void TbaPolicy::LocalFeatures(const Simulator& sim, const TaxiObs& obs,
@@ -112,12 +113,15 @@ Status TbaPolicy::SaveState(BinaryWriter* out) const {
 }
 
 Status TbaPolicy::RestoreState(BinaryReader* in) {
+  // Parsed into copies first and committed last: a refused record leaves
+  // the policy exactly as it was.
   FM_RETURN_IF_ERROR(
       ReadRecordHeader(in, kTbaStateTag, kTbaStateVersion, "TBA state"));
   FM_ASSIGN_OR_RETURN(Mlp net, ReadNetLike(in, *net_, "TBA network"));
-  *net_ = std::move(net);
-  FM_RETURN_IF_ERROR(optimizer_->RestoreState(in));
-  FM_RETURN_IF_ERROR(ReadRngState(in, &rng_));
+  Adam optimizer = *optimizer_;
+  FM_RETURN_IF_ERROR(optimizer.RestoreState(in));
+  Rng rng = rng_;
+  FM_RETURN_IF_ERROR(ReadRngState(in, &rng));
   double baseline = 0.0;
   bool baseline_init = false;
   FM_RETURN_IF_ERROR(in->ReadF64(&baseline));
@@ -130,6 +134,9 @@ Status TbaPolicy::RestoreState(BinaryReader* in) {
   std::vector<Transition> buffer;
   FM_RETURN_IF_ERROR(
       ReadTransitions(in, buffered, feature_dim_, num_actions_, &buffer));
+  *net_ = std::move(net);
+  *optimizer_ = std::move(optimizer);
+  rng_ = rng;
   baseline_ = baseline;
   baseline_init_ = baseline_init;
   buffer_ = std::move(buffer);
@@ -147,19 +154,19 @@ void TbaPolicy::Learn(const std::vector<Transition>& transitions) {
 void TbaPolicy::Update(const std::vector<Transition>& transitions) {
   // REINFORCE with a moving-average baseline on the *own-profit* reward.
   const int batch = static_cast<int>(transitions.size());
-  Matrix x(batch, feature_dim_);
+  x_.ResizeForOverwrite(batch, feature_dim_);
   for (int i = 0; i < batch; ++i) {
     FM_CHECK(static_cast<int>(transitions[static_cast<size_t>(i)].state
                                   .size()) == feature_dim_)
         << "TBA transition carries foreign features";
     std::copy(transitions[static_cast<size_t>(i)].state.begin(),
-              transitions[static_cast<size_t>(i)].state.end(), x.Row(i));
+              transitions[static_cast<size_t>(i)].state.end(), x_.Row(i));
   }
-  Mlp::Tape& tape = tape_;  // buffers reused across updates
-  net_->ForwardTape(x, &tape);
-  const Matrix& logits = net_->Output(tape);
+  net_->ForwardTape(x_, &tape_);
+  const Matrix& logits = net_->Output(tape_);
 
-  Matrix grad(batch, num_actions_);
+  // Every entry of grad_ is written below, masked actions with 0.
+  grad_.ResizeForOverwrite(batch, num_actions_);
   for (int i = 0; i < batch; ++i) {
     const Transition& t = transitions[static_cast<size_t>(i)];
     if (!baseline_init_) {
@@ -173,34 +180,34 @@ void TbaPolicy::Update(const std::vector<Transition>& transitions) {
     // Rebuild the behaviour-time mask from the discrete context (masks are
     // deterministic functions of region + charge flags).
     space_->Mask(t.region, t.must_charge, t.may_charge, &mask_scratch_);
-    std::vector<float> probs(logits.Row(i), logits.Row(i) + num_actions_);
-    MaskedSoftmax(mask_scratch_, &probs);
+    probs_.assign(logits.Row(i), logits.Row(i) + num_actions_);
+    MaskedSoftmax(mask_scratch_, &probs_);
 
     // dL/dlogit = A*(pi - onehot) + c*pi*(log pi + H)
     double entropy = 0.0;
     for (int a = 0; a < num_actions_; ++a) {
-      if (probs[static_cast<size_t>(a)] > 0.0f) {
-        entropy -= probs[static_cast<size_t>(a)] *
-                   std::log(probs[static_cast<size_t>(a)]);
+      if (probs_[static_cast<size_t>(a)] > 0.0f) {
+        entropy -= probs_[static_cast<size_t>(a)] *
+                   std::log(probs_[static_cast<size_t>(a)]);
       }
     }
     for (int a = 0; a < num_actions_; ++a) {
-      const double p = probs[static_cast<size_t>(a)];
+      const double p = probs_[static_cast<size_t>(a)];
       if (!mask_scratch_[static_cast<size_t>(a)]) {
-        grad.At(i, a) = 0.0f;
+        grad_.At(i, a) = 0.0f;
         continue;
       }
       double g = advantage * (p - (a == t.action_index ? 1.0 : 0.0));
       if (p > 0.0) {
         g += options_.entropy_bonus * p * (std::log(p) + entropy);
       }
-      grad.At(i, a) = static_cast<float>(g / batch);
+      grad_.At(i, a) = static_cast<float>(g / batch);
     }
   }
 
-  Mlp::Gradients grads = net_->MakeGradients();
-  net_->Backward(tape, grad, &grads, &backward_ws_);
-  optimizer_->Step(grads);
+  grads_.Zero();
+  net_->Backward(tape_, grad_, &grads_, &backward_ws_);
+  optimizer_->Step(grads_);
 }
 
 }  // namespace fairmove

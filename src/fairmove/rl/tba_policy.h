@@ -86,7 +86,12 @@ class TbaPolicy : public DisplacementPolicy {
   Matrix batch_x_;
   Matrix batch_logits_;
   Mlp::ShardedWorkspace forward_ws_;
-  // Training scratch reused across Update() calls.
+  // Training scratch reused across Update() calls: once the batch size is
+  // stable, an update allocates nothing (pinned by sim_alloc_test).
+  Matrix x_;
+  Matrix grad_;
+  std::vector<float> probs_;
+  Mlp::Gradients grads_;
   Mlp::Tape tape_;
   Mlp::Workspace backward_ws_;
 };

@@ -21,6 +21,7 @@
 #include "fairmove/core/fairmove.h"
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
+#include "fairmove/nn/simd.h"
 #include "fairmove/resilience/chaos.h"
 #include "fairmove/resilience/checkpoint.h"
 #include "fairmove/rl/cma2c_policy.h"
@@ -389,23 +390,30 @@ TEST(PolicyStateTest, Cma2cRoundTripsBitExact) {
 // The paper-size update: default 64x64 actor and critic on a 3,501-row
 // batch, which the row-sharded training passes split raggedly at 2, 3 and 4
 // lanes. Three updates (a critic warm-up, then two with the actor) must
-// leave the same state bytes at every lane count, and the bytes the serial
-// kernels left before training was sharded (recorded then, never edited).
+// leave the same state bytes at every lane count and under every kernel
+// table the host runs, and the bytes the serial kernels left before
+// training was sharded (recorded then, never edited).
 TEST(PolicyStateTest, Cma2cFullSizeUpdateIsLaneCountInvariant) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
   const std::vector<DisplacementPolicy::Transition> batch =
       SyntheticTransitions(system->sim(), 3501, /*seed=*/41);
   const int before = GlobalPool().num_threads();
-  for (int lanes : {1, 2, 4}) {
-    SetGlobalThreads(lanes);
-    Cma2cPolicy::Options opt;
-    opt.actor_warmup_batches = 1;
-    Cma2cPolicy policy(system->sim(), opt);
-    for (int update = 0; update < 3; ++update) policy.Update(batch);
-    const std::string bytes = StateBytes(policy);
-    EXPECT_EQ(bytes.size(), 202393u) << lanes << " lanes";
-    EXPECT_EQ(Crc32(bytes), 0xBDC39E0Du) << lanes << " lanes";
+  for (const simd::KernelTable* table : simd::CompiledTables()) {
+    if (!simd::HostSupports(*table)) continue;
+    simd::ScopedKernelTableForTesting pin(*table);
+    for (int lanes : {1, 2, 4}) {
+      SetGlobalThreads(lanes);
+      Cma2cPolicy::Options opt;
+      opt.actor_warmup_batches = 1;
+      Cma2cPolicy policy(system->sim(), opt);
+      for (int update = 0; update < 3; ++update) policy.Update(batch);
+      const std::string bytes = StateBytes(policy);
+      EXPECT_EQ(bytes.size(), 202393u) << table->name << ", " << lanes
+                                       << " lanes";
+      EXPECT_EQ(Crc32(bytes), 0xBDC39E0Du) << table->name << ", " << lanes
+                                           << " lanes";
+    }
   }
   SetGlobalThreads(before);
 }
@@ -522,6 +530,102 @@ TEST(PolicyStateTest, DqnRefusesMisfitTransitions) {
   ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
                                 "next_state");
   ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+}
+
+/// Restores `bytes` into `target`, expects a refusal, and expects target's
+/// SaveState bytes to be what they were: a refused record commits nothing,
+/// so Trainer::TrainGuarded never trains a half-restored policy.
+void ExpectRefusedRestoreChangesNothing(DisplacementPolicy* target,
+                                        const std::string& bytes,
+                                        const std::string& what) {
+  const std::string before = StateBytes(*target);
+  BinaryReader in(bytes);
+  EXPECT_FALSE(target->RestoreState(&in).ok()) << what;
+  EXPECT_TRUE(StateBytes(*target) == before)
+      << what << ": the refused record changed the policy's state";
+}
+
+// Each record comes from a policy seeded apart from the target, so its
+// networks, optimizer moments and RNG differ from the target's, and each is
+// refused late: by a misfit transition behind those fields, a guard
+// mismatch, or truncation in the very last field.
+TEST(PolicyStateTest, RefusedCma2cRestoreChangesNothing) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const Simulator& sim = system->sim();
+  Cma2cPolicy::Options opt;
+  opt.actor_hidden = {8};
+  opt.critic_hidden = {8};
+  opt.batch_size = 4;
+  Cma2cPolicy::Options other = opt;
+  other.seed = opt.seed + 1;
+  const Misfits m = MakeMisfits(sim, FeatureExtractor(&sim).dim());
+
+  Cma2cPolicy misfit_source(sim, other);
+  misfit_source.EnableDivergenceGuard();
+  misfit_source.Learn({m.long_next_state});
+  Cma2cPolicy guarded_target(sim, opt);
+  guarded_target.EnableDivergenceGuard();
+  ExpectRefusedRestoreChangesNothing(&guarded_target,
+                                     StateBytes(misfit_source),
+                                     "CA21 with a misfit transition");
+
+  Cma2cPolicy guarded_source(sim, other);
+  guarded_source.EnableDivergenceGuard();
+  const std::string guarded_bytes = StateBytes(guarded_source);
+  Cma2cPolicy guardless_target(sim, opt);
+  ExpectRefusedRestoreChangesNothing(&guardless_target, guarded_bytes,
+                                     "CA21 with a guard the target lacks");
+  ExpectRefusedRestoreChangesNothing(
+      &guarded_target, guarded_bytes.substr(0, guarded_bytes.size() - 1),
+      "CA21 truncated by one byte");
+}
+
+TEST(PolicyStateTest, RefusedDqnRestoreChangesNothing) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const Simulator& sim = system->sim();
+  DqnPolicy::Options opt;
+  opt.hidden = {8};
+  opt.replay_capacity = 16;
+  opt.min_replay = 16;
+  DqnPolicy::Options other = opt;
+  other.seed = opt.seed + 1;
+  const Misfits m = MakeMisfits(sim, FeatureExtractor(&sim).dim());
+
+  DqnPolicy source(sim, other);
+  source.Learn({m.long_next_state});
+  DqnPolicy target(sim, opt);
+  ExpectRefusedRestoreChangesNothing(&target, StateBytes(source),
+                                     "DQN1 with a misfit replay entry");
+  DqnPolicy clean_source(sim, other);
+  const std::string bytes = StateBytes(clean_source);
+  ExpectRefusedRestoreChangesNothing(&target,
+                                     bytes.substr(0, bytes.size() - 1),
+                                     "DQN1 truncated by one byte");
+}
+
+TEST(PolicyStateTest, RefusedTbaRestoreChangesNothing) {
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const Simulator& sim = system->sim();
+  TbaPolicy::Options opt;
+  opt.hidden = {8};
+  opt.batch_size = 64;
+  TbaPolicy::Options other = opt;
+  other.seed = opt.seed + 1;
+  TbaPolicy target(sim, opt);
+  const Misfits m = MakeMisfits(sim, target.feature_dim());
+
+  TbaPolicy source(sim, other);
+  source.Learn({m.long_next_state});
+  ExpectRefusedRestoreChangesNothing(&target, StateBytes(source),
+                                     "TBA1 with a misfit transition");
+  TbaPolicy clean_source(sim, other);
+  const std::string bytes = StateBytes(clean_source);
+  ExpectRefusedRestoreChangesNothing(&target,
+                                     bytes.substr(0, bytes.size() - 1),
+                                     "TBA1 truncated by one byte");
 }
 
 TEST(PolicyStateTest, Cma2cRefusesForeignAndGuardlessRestores) {

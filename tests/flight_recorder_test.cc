@@ -593,6 +593,19 @@ TEST(CrashDumpTest, AbortedChildLeavesDumpTraceAndFlushedJsonl) {
       3);
 }
 
+/// Whether any ring of `dump` holds an event named `name`.
+bool HoldsEvent(const FlightDump& dump, const std::string& name) {
+  for (const FlightDumpRing& ring : dump.rings) {
+    for (const FlightEvent& event : ring.events) {
+      if (static_cast<size_t>(event.name_id) < dump.names.size() &&
+          dump.names[event.name_id] == name) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 TEST(CrashDumpTest, SigkilledChildLeavesLastExportedFlightDump) {
   SetGlobalThreads(1);
   const std::string dir = TempSubdir("crash_kill");
@@ -614,24 +627,29 @@ TEST(CrashDumpTest, SigkilledChildLeavesLastExportedFlightDump) {
     }
     _exit(0);  // parent kills us long before this
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(800));
+  // Kill only once an exporter tick has written flight.fmfr, the last file
+  // of a tick, holding the child's ticks: under a loaded parallel ctest run
+  // the first tick can come later than any fixed delay allows.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  bool dumped = false;
+  while (!dumped && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const StatusOr<FlightDump> early =
+        ReadFlightDumpFile(dir + "/flight.fmfr");
+    dumped = early.ok() && HoldsEvent(*early, "child.tick");
+  }
   kill(pid, SIGKILL);
   int status = 0;
   ASSERT_EQ(waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFSIGNALED(status));
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
+  ASSERT_TRUE(dumped) << "the child's exporter wrote no flight.fmfr holding "
+                         "child.tick within 60 s";
 
   const StatusOr<FlightDump> dump = ReadFlightDumpFile(dir + "/flight.fmfr");
   ASSERT_TRUE(dump.ok()) << dump.status().ToString();
-  bool ticks_seen = false;
-  for (const FlightDumpRing& ring : dump->rings) {
-    for (const FlightEvent& event : ring.events) {
-      if (static_cast<size_t>(event.name_id) < dump->names.size() &&
-          dump->names[event.name_id] == "child.tick") {
-        ticks_seen = true;
-      }
-    }
-  }
+  const bool ticks_seen = HoldsEvent(*dump, "child.tick");
   EXPECT_TRUE(ticks_seen);
   const std::string trace = FlightDumpToChromeTrace(*dump);
   EXPECT_TRUE(ValidateChromeTrace(trace).ok());

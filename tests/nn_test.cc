@@ -6,6 +6,7 @@
 #include "fairmove/nn/adam.h"
 #include "fairmove/nn/matrix.h"
 #include "fairmove/nn/mlp.h"
+#include "fairmove/nn/simd.h"
 
 namespace fairmove {
 namespace {

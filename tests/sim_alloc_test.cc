@@ -5,7 +5,7 @@
 // inside the measured window on any thread (std::deque churn, a per-slot
 // std::vector, a logging string, a pool task) fails the test with an exact
 // count. The same hook pins the batched
-// FeatureExtractor::ExtractAll path and a warm CMA2C update.
+// FeatureExtractor::ExtractAll path and warm CMA2C, DQN and TBA updates.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,9 @@
 #include "fairmove/nn/matrix.h"
 #include "fairmove/pricing/tou_tariff.h"
 #include "fairmove/rl/cma2c_policy.h"
+#include "fairmove/rl/dqn_policy.h"
 #include "fairmove/rl/features.h"
+#include "fairmove/rl/tba_policy.h"
 #include "fairmove/sim/simulator.h"
 #include "synthetic_transitions.h"
 
@@ -221,6 +223,53 @@ TEST(SimAllocTest, WarmCma2cUpdateDoesZeroHeapAllocations) {
     g_counting.store(false);
     EXPECT_EQ(counter.count(), 0)
         << "a warm Cma2cPolicy::Update allocated at " << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
+// DQN's gradient steps at the default minibatch: the sampled pointers, batch
+// matrices, targets, gradient set and forward workspace are reused. Learn
+// with no new transitions runs the steps alone, without a replay insert.
+TEST(SimAllocTest, WarmDqnGradientStepsDoZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  DqnPolicy::Options opt;
+  opt.replay_capacity = 512;
+  opt.min_replay = 256;
+  DqnPolicy policy(*stack.sim, opt);
+  policy.Learn(SyntheticTransitions(*stack.sim, 256, /*seed=*/43));
+  const std::vector<DisplacementPolicy::Transition> none;
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Learn(none);  // sizes the scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Learn(none);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "warm DqnPolicy gradient steps allocated at " << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
+// A default TBA update on the paper's 3,500-row batch: the batch matrix,
+// gradient matrix, softmax row and gradient set are reused.
+TEST(SimAllocTest, WarmTbaUpdateDoesZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  TbaPolicy policy(*stack.sim);
+  std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41);
+  for (DisplacementPolicy::Transition& t : batch) {
+    t.state.resize(static_cast<size_t>(policy.feature_dim()));
+  }
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Update(batch);  // sizes the scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Update(batch);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "a warm TbaPolicy::Update allocated at " << lanes << " lanes";
   }
   SetGlobalThreads(before);
 }

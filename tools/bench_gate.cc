@@ -20,7 +20,9 @@
 // regressions (a vector loop falling back to scalar, an allocation slipped
 // into a hot path, an accidental O(n^2)), not 10% jitter on a noisy CI box.
 // A benchmark present in the baseline but missing from the fresh run fails
-// the gate: silently shrinking coverage must be loud.
+// the gate: silently shrinking coverage must be loud. Both documents' kernel
+// table (the `machine` block's simd, nn/simd.h) is printed, with a note when
+// they differ: the NN timings then compare two ISAs, not two builds.
 
 #include <unistd.h>
 
@@ -41,6 +43,13 @@ constexpr double kDefaultTolerance = 1.5;
 struct BenchEntry {
   std::string name;
   double cpu_ns_per_iter = 0.0;
+};
+
+struct BenchDocument {
+  /// The `machine` block's kernel table, or "unknown" for a document
+  /// written before the block existed.
+  std::string simd = "unknown";
+  std::vector<BenchEntry> entries;
 };
 
 struct Options {
@@ -69,7 +78,7 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* out) {
   return true;
 }
 
-StatusOr<std::vector<BenchEntry>> LoadDocument(const std::string& path) {
+StatusOr<BenchDocument> LoadDocument(const std::string& path) {
   FM_ASSIGN_OR_RETURN(const std::string text, ReadFileToString(path));
   StatusOr<JsonValue> doc_or = ParseJson(text);
   if (!doc_or.ok()) {
@@ -84,7 +93,11 @@ StatusOr<std::vector<BenchEntry>> LoadDocument(const std::string& path) {
   if (benchmarks == nullptr || !benchmarks->is_array()) {
     return Status::InvalidArgument(path + ": missing benchmarks array");
   }
-  std::vector<BenchEntry> entries;
+  BenchDocument loaded;
+  if (const JsonValue* machine = doc.Find("machine"); machine != nullptr) {
+    loaded.simd = machine->StringOr("simd", loaded.simd);
+  }
+  std::vector<BenchEntry>& entries = loaded.entries;
   for (const JsonValue& item : benchmarks->items) {
     BenchEntry entry;
     entry.name = item.StringOr("name", "");
@@ -98,7 +111,7 @@ StatusOr<std::vector<BenchEntry>> LoadDocument(const std::string& path) {
   if (entries.empty()) {
     return Status::InvalidArgument(path + ": no benchmark entries");
   }
-  return entries;
+  return loaded;
 }
 
 const BenchEntry* FindEntry(const std::vector<BenchEntry>& entries,
@@ -124,14 +137,13 @@ std::string FilterFromBaseline(const std::vector<BenchEntry>& baseline) {
 }
 
 int RunGate(const Options& opt) {
-  StatusOr<std::vector<BenchEntry>> baseline_or =
-      LoadDocument(opt.baseline_path);
+  StatusOr<BenchDocument> baseline_or = LoadDocument(opt.baseline_path);
   if (!baseline_or.ok()) {
     std::fprintf(stderr, "bench_gate: baseline: %s\n",
                  baseline_or.status().message().c_str());
     return 2;
   }
-  const std::vector<BenchEntry>& baseline = baseline_or.value();
+  const std::vector<BenchEntry>& baseline = baseline_or->entries;
 
   std::string fresh_path = opt.fresh_path;
   if (fresh_path.empty()) {
@@ -151,13 +163,20 @@ int RunGate(const Options& opt) {
       return 2;
     }
   }
-  StatusOr<std::vector<BenchEntry>> fresh_or = LoadDocument(fresh_path);
+  StatusOr<BenchDocument> fresh_or = LoadDocument(fresh_path);
   if (!fresh_or.ok()) {
     std::fprintf(stderr, "bench_gate: fresh: %s\n",
                  fresh_or.status().message().c_str());
     return 2;
   }
-  const std::vector<BenchEntry>& fresh = fresh_or.value();
+  const std::vector<BenchEntry>& fresh = fresh_or->entries;
+
+  std::printf("kernel table: baseline %s, current %s\n",
+              baseline_or->simd.c_str(), fresh_or->simd.c_str());
+  if (baseline_or->simd != fresh_or->simd) {
+    std::printf("note: the kernel tables differ, so the NN benchmarks compare "
+                "two ISAs, not two builds.\n");
+  }
 
   // The diff table, baseline order. ratio > 1 is a slowdown.
   std::vector<std::string> regressed;
