@@ -41,12 +41,33 @@ std::unique_ptr<FairMoveSystem> MakeSystem(double scale) {
   return std::move(FairMoveSystem::Create(cfg)).value();
 }
 
+// The pool's hand-off floor: one empty 4-index region on a private pool
+// of range(0) lanes, shared from 2 lanes up (plain ParallelFor, not the
+// cost rule): linking it, waking the workers, unlinking it. Real time,
+// because the caller's cpu time does not show the wait. The caller claims
+// every index before a worker wakes, so the cost of a real phase's
+// hand-off shows in the BM_SimulatorStepGt sweep instead (DESIGN.md §7).
+void BM_ParallelForEmpty(benchmark::State& state) {
+  const int lanes = static_cast<int>(state.range(0));
+  ThreadPool pool(lanes);
+  for (auto _ : state) {
+    pool.ParallelFor(4, [](int64_t i) { benchmark::DoNotOptimize(i); });
+  }
+  state.counters["lanes"] = lanes;
+}
+BENCHMARK(BM_ParallelForEmpty)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+// Runs on the global pool: below the cost rule's threshold (about 7,500
+// taxis) the sharded phases run inline at any lane count, above it they
+// fork, so the /5../100 sweep at FAIRMOVE_THREADS=1 and 4 shows the
+// crossover.
 void BM_SimulatorStepGt(benchmark::State& state) {
   auto system = MakeSystem(static_cast<double>(state.range(0)) / 100.0);
   GtPolicy policy;
   for (auto _ : state) {
     system->sim().Step(&policy);
   }
+  state.counters["lanes"] = GlobalPool().num_threads();
   state.counters["taxis"] =
       static_cast<double>(system->sim().num_taxis());
   state.counters["taxi_slots/s"] = benchmark::Counter(
@@ -56,7 +77,7 @@ void BM_SimulatorStepGt(benchmark::State& state) {
 // /100 is the paper's full Shenzhen setting (20,130 taxis, 491 regions,
 // 123 stations) — the default experiment scale, benched directly so the
 // perfgate pins the configuration the tables actually run at.
-BENCHMARK(BM_SimulatorStepGt)->Arg(5)->Arg(10)->Arg(25)->Arg(100);
+BENCHMARK(BM_SimulatorStepGt)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(100);
 
 // Raw SoA column-scan throughput over the full-scale fleet: the vacancy
 // scan + SoC reduction every phase of the sharded Step leans on. Pins the
@@ -136,6 +157,7 @@ void BM_PolicyDecideBatch(benchmark::State& state) {
     policy.DecideActions(system->sim(), vacant, &actions);
     benchmark::DoNotOptimize(actions);
   }
+  state.counters["lanes"] = GlobalPool().num_threads();
   state.counters["taxis"] = static_cast<double>(vacant.size());
   state.counters["decisions/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()) *
@@ -242,6 +264,7 @@ void BM_EvaluatorCell(benchmark::State& state) {
     MethodResult cell = evaluator.RunKind(PolicyKind::kFairMove, gt.metrics);
     benchmark::DoNotOptimize(cell);
   }
+  state.counters["lanes"] = GlobalPool().num_threads();
   state.counters["taxis"] =
       static_cast<double>(system->sim().num_taxis());
   state.counters["cells/s"] = benchmark::Counter(
@@ -402,7 +425,9 @@ bool WriteBenchJson(const std::string& path,
   doc.Set("schema", "fairmove.bench.v1");
   doc.SetRaw("machine", machine.Str());
   // What bench_gate compares: cpu time excludes other-process noise that
-  // wall time picks up on a shared CI box.
+  // wall time picks up on a shared CI box. A benchmark with a `lanes`
+  // counter runs on the pool, where main-thread cpu time hides the
+  // workers' time, so its real time is gated too.
   doc.Set("gate_metric", "cpu_ns_per_iter");
   doc.SetRaw("benchmarks", benchmarks.empty() ? "[]" : benchmarks.Str());
   std::ofstream out(path, std::ios::trunc);

@@ -13,6 +13,7 @@ namespace fairmove {
 namespace {
 
 std::atomic<bool> g_pool_timing{false};
+int64_t g_fork_threshold_ns = kForkThresholdNs;
 std::atomic<ThreadPool::QueueWaitObserver> g_queue_wait_observer{nullptr};
 
 int64_t NowNs() {
@@ -33,6 +34,18 @@ bool ThreadPool::TimingEnabled() {
 
 void ThreadPool::SetQueueWaitObserver(QueueWaitObserver observer) {
   g_queue_wait_observer.store(observer, std::memory_order_release);
+}
+
+int64_t ThreadPool::ForkThresholdNs() { return g_fork_threshold_ns; }
+
+ScopedForkThresholdForTesting::ScopedForkThresholdForTesting(
+    int64_t threshold_ns)
+    : previous_(g_fork_threshold_ns) {
+  g_fork_threshold_ns = threshold_ns;
+}
+
+ScopedForkThresholdForTesting::~ScopedForkThresholdForTesting() {
+  g_fork_threshold_ns = previous_;
 }
 
 PoolStats ThreadPool::stats() const {
@@ -136,10 +149,10 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::Run(int64_t n, Body body, const void* fn) {
+void ThreadPool::Run(int64_t n, bool share, Body body, const void* fn) {
   if (n <= 0) return;
   Region region(body, fn, n);
-  const bool shared = num_threads_ > 1 && n > 1;
+  const bool shared = share && num_threads_ > 1 && n > 1;
   if (shared) {
     regions_.fetch_add(1, std::memory_order_relaxed);
     tasks_.fetch_add(n, std::memory_order_relaxed);

@@ -13,12 +13,25 @@
 
 namespace fairmove {
 
+/// The cost rule of the library's sharded layers (DESIGN.md §7). Sharing a
+/// region costs its caller a hand-off: linking it, waking sleeping workers,
+/// waiting for the last of them, and the shards' data moving into other
+/// cores' caches. An empty region shows only the first part (about 1 µs of
+/// real time at 4 lanes, BM_ParallelForEmpty); the BM_SimulatorStepGt sweep
+/// shows all of it: at 4 lanes a sharded phase breaks even at about 20 µs
+/// of one-lane work (5,032 taxis) and wins at about 40 µs (10,065 taxis).
+/// A region offered under the rule is shared only when its estimated
+/// one-lane work reaches this many nanoseconds; below it the region runs
+/// inline on its caller.
+inline constexpr int64_t kForkThresholdNs = 30'000;
+
 /// Health counters of one pool, polled by the observability layer. They
 /// count shared regions only: a region is shared when the pool has more
-/// than one lane and the region more than one index, so a one-lane pool
-/// never moves them. Queue-wait numbers are zero unless
-/// ThreadPool::SetTimingEnabled(true) (flipped on by telemetry) because
-/// taking a timestamp per worker join is not free.
+/// than one lane, the region more than one index, and the cost rule (if the
+/// caller applied it) passes, so a one-lane pool never moves them.
+/// Queue-wait numbers are zero unless ThreadPool::SetTimingEnabled(true)
+/// (flipped on by telemetry) because taking a timestamp per worker join is
+/// not free.
 struct PoolStats {
   int64_t regions = 0;             // shared regions executed
   int64_t tasks = 0;               // indices of those regions
@@ -70,9 +83,19 @@ class ThreadPool {
   /// output.
   template <typename Fn>
   void ParallelFor(int64_t n, Fn&& fn) {
-    using F = std::remove_reference_t<Fn>;
-    Run(n, [](const void* f, int64_t i) { (*static_cast<const F*>(f))(i); },
-        &fn);
+    Run(n, /*share=*/true, Erase<Fn>, &fn);
+  }
+
+  /// ParallelFor under the cost rule: `work_ns` is the caller's estimate of
+  /// the whole region's one-lane cost. Below kForkThresholdNs the region
+  /// runs inline on its caller in ascending index order, exactly as on a
+  /// one-lane pool, and the pool's counters do not move. The two-argument
+  /// form always offers the region: the evaluator and the replica grid use
+  /// it for whole training runs, and Mlp for row shards its own
+  /// 64-rows-per-shard rule already sized.
+  template <typename Fn>
+  void ParallelFor(int64_t n, int64_t work_ns, Fn&& fn) {
+    Run(n, work_ns >= ForkThresholdNs(), Erase<Fn>, &fn);
   }
 
   /// Snapshot of this pool's health counters (observational only).
@@ -96,7 +119,14 @@ class ThreadPool {
   struct Region;
   using Body = void (*)(const void* fn, int64_t i);
 
-  void Run(int64_t n, Body body, const void* fn);
+  template <typename F>
+  static void Erase(const void* f, int64_t i) {
+    (*static_cast<const std::remove_reference_t<F>*>(f))(i);
+  }
+  /// kForkThresholdNs, or a test's override of it.
+  static int64_t ForkThresholdNs();
+
+  void Run(int64_t n, bool share, Body body, const void* fn);
   void WorkerLoop();
   void RecordQueueWait(int64_t wait_ns);
 
@@ -113,6 +143,23 @@ class ThreadPool {
   std::atomic<int64_t> queue_wait_ns_max_{0};
 
   std::vector<std::thread> workers_;
+};
+
+/// Test-only hook: makes `threshold_ns` the cost rule's threshold until
+/// destruction, so a test can drive a small city through the concurrent
+/// shard path (0 shares every region the rule is asked about). No region
+/// may be open while one is created or destroyed.
+class ScopedForkThresholdForTesting {
+ public:
+  explicit ScopedForkThresholdForTesting(int64_t threshold_ns);
+  ~ScopedForkThresholdForTesting();
+  ScopedForkThresholdForTesting(const ScopedForkThresholdForTesting&) =
+      delete;
+  ScopedForkThresholdForTesting& operator=(
+      const ScopedForkThresholdForTesting&) = delete;
+
+ private:
+  int64_t previous_;
 };
 
 /// Thread count the process-wide pool is sized with: FAIRMOVE_THREADS when

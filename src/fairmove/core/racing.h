@@ -2,7 +2,7 @@
 #define FAIRMOVE_CORE_RACING_H_
 
 // Racing evaluation: best-arm identification with early-stopping confidence
-// bounds over Monte-Carlo replica grids (ROADMAP item 4).
+// bounds over Monte-Carlo replica grids (DESIGN.md §12).
 //
 // A fixed replica grid spends an identical budget on every (method, α) cell
 // no matter how separated the cells already are. The racing procedure here

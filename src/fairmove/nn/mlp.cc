@@ -270,13 +270,12 @@ void Mlp::Backward(const Tape& tape, const Matrix& grad_output,
         kernels.add(acc_w.data() + first, ws->dw.data() + first,
                     static_cast<size_t>(w.end - w.begin) * out);
       }
-      // db += column sums of delta over this shard's block of columns.
-      const ShardRange b(out, shards, s);
-      if (b.begin < b.end) {
-        kernels.column_sums(delta->data(), rows, out, b.begin, b.end,
-                            ws->db.data());
-        kernels.add(acc_b.data() + b.begin, ws->db.data() + b.begin,
-                    static_cast<size_t>(b.end - b.begin));
+      // db += column sums of delta, all in the last shard (the one with
+      // the fewest rows): shards summing neighbouring columns would write
+      // one cache line of the accumulator from every lane for every row.
+      if (s == shards - 1) {
+        kernels.column_sums(delta->data(), rows, out, 0, out, ws->db.data());
+        kernels.add(acc_b.data(), ws->db.data(), static_cast<size_t>(out));
       }
       if (prev == nullptr) return;
       // delta_prev = (delta * W^T) . f'(post) over this shard's batch rows.

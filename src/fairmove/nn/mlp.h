@@ -108,11 +108,11 @@ class Mlp {
   /// Same, reusing `ws` scratch so steady-state backprop does zero heap
   /// allocation. With a `pool`, each layer is one region of disjoint
   /// shards: a block of dW rows (input^T * delta, every element summing the
-  /// batch rows in ascending order from zero), a block of db columns, and a
-  /// block of batch rows of the propagated delta (delta * W^T through the
-  /// forward row kernel against a transposed copy of W, with the activation
-  /// derivative applied in the same pass). The gradients are bit-identical
-  /// at any lane count.
+  /// batch rows in ascending order from zero) and a block of batch rows of
+  /// the propagated delta (delta * W^T through the forward row kernel
+  /// against a transposed copy of W, with the activation derivative applied
+  /// in the same pass); the last shard also sums db. The gradients are
+  /// bit-identical at any lane count.
   void Backward(const Tape& tape, const Matrix& grad_output, Gradients* grads,
                 Workspace* ws, ThreadPool* pool = nullptr) const;
 

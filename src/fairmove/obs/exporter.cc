@@ -80,13 +80,21 @@ MetricsExporter* MetricsExporter::StartFromEnv() {
   const StatusOr<ExporterOptions> options = ParseExportSpec(spec);
   FM_CHECK(options.ok()) << "FAIRMOVE_METRICS_EXPORT=" << spec << ": "
                          << options.status().ToString();
-  const StatusOr<MetricsExporter*> exporter = Start(*options);
+  StatusOr<std::unique_ptr<MetricsExporter>> exporter = Start(*options);
   FM_CHECK(exporter.ok()) << "FAIRMOVE_METRICS_EXPORT=" << spec << ": "
                           << exporter.status().ToString();
-  return *exporter;
+  // Kept like the other obs singletons; Stop() is what releases the
+  // thread, and it is wired to atexit. A caller that lost the race to
+  // start it destroys its own copy, which stops it.
+  std::lock_guard<std::mutex> lock(g_exporter_mu);
+  if (g_exporter == nullptr) {
+    g_exporter = std::move(*exporter).release();
+    std::atexit(&StopGlobalExporter);
+  }
+  return g_exporter;
 }
 
-StatusOr<MetricsExporter*> MetricsExporter::Start(
+StatusOr<std::unique_ptr<MetricsExporter>> MetricsExporter::Start(
     const ExporterOptions& options) {
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
@@ -94,24 +102,22 @@ StatusOr<MetricsExporter*> MetricsExporter::Start(
     return Status::IOError("cannot create export dir '" + options.dir +
                            "': " + ec.message());
   }
-  // Leaked like the other obs singletons; Stop() is what releases the
-  // thread, and it is wired to atexit below.
-  auto* exporter = new MetricsExporter(options);
+  std::unique_ptr<MetricsExporter> exporter(new MetricsExporter(options));
   FM_RETURN_IF_ERROR(
       exporter->windows_.Open(options.dir + "/windows.jsonl"));
-  {
-    std::lock_guard<std::mutex> lock(g_exporter_mu);
-    if (g_exporter == nullptr) {
-      g_exporter = exporter;
-      std::atexit(&StopGlobalExporter);
-    }
-  }
-  exporter->thread_ = std::thread([exporter] { exporter->Loop(); });
+  MetricsExporter* running = exporter.get();
+  exporter->thread_ = std::thread([running] { running->Loop(); });
   return exporter;
 }
 
 MetricsExporter::MetricsExporter(ExporterOptions options)
     : options_(std::move(options)) {}
+
+MetricsExporter::~MetricsExporter() {
+  // Only a started, not yet stopped exporter has a thread to join; one
+  // whose Start failed never ticks.
+  if (thread_.joinable()) Stop();
+}
 
 void MetricsExporter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,11 +45,16 @@ class MetricsExporter {
   /// Starts the process-wide exporter from FAIRMOVE_METRICS_EXPORT.
   /// Returns nullptr when the variable is unset; aborts on a malformed
   /// spec (a typo must not silently disable observability). Idempotent —
-  /// later calls return the already-running instance.
+  /// later calls return the already-running instance, which lives until
+  /// exit (an atexit hook stops it).
   static MetricsExporter* StartFromEnv();
 
-  /// Starts an exporter explicitly (tests). Creates `dir`.
-  static StatusOr<MetricsExporter*> Start(const ExporterOptions& options);
+  /// Starts an exporter the caller owns (tests). Creates `dir`.
+  static StatusOr<std::unique_ptr<MetricsExporter>> Start(
+      const ExporterOptions& options);
+
+  /// Stops a still-running exporter (see Stop).
+  ~MetricsExporter();
 
   /// Stops the export thread and writes one final snapshot. Idempotent.
   void Stop();

@@ -177,6 +177,14 @@ void DqnPolicy::GradientStep() {
   next_x_.Resize(n, dim);
   for (int i = 0; i < n; ++i) {
     const Transition& t = *sample_[static_cast<size_t>(i)];
+    // Learn checks `state` only, so a misfit next_state or action can reach
+    // the ring; it must not reach these fixed-width rows.
+    FM_CHECK(static_cast<int>(t.state.size()) == dim &&
+             (t.terminal || static_cast<int>(t.next_state.size()) == dim))
+        << "DQN transition carries foreign features";
+    FM_CHECK(t.action_index >= 0 && t.action_index < num_actions_)
+        << "DQN transition action " << t.action_index << " outside [0, "
+        << num_actions_ << ")";
     std::copy(t.state.begin(), t.state.end(), x_.Row(i));
     if (!t.terminal) {
       std::copy(t.next_state.begin(), t.next_state.end(), next_x_.Row(i));

@@ -15,6 +15,16 @@
 
 namespace fairmove {
 
+namespace {
+
+/// One-lane cost of a sharded phase per taxi of the fleet, the proxy
+/// RunSharded weighs a phase's work with: the six sharded phases of a GT
+/// step take about 24 ns per taxi together at one lane (5,032 taxis,
+/// FAIRMOVE_PROFILE). So a phase is shared from 7,500 taxis up.
+constexpr int64_t kShardedPhaseNsPerTaxi = 4;
+
+}  // namespace
+
 Status SimConfig::Validate() const {
   // NaN slips through every range comparison below (NaN < x and NaN > x are
   // both false), so reject non-finite knobs explicitly first.
@@ -321,7 +331,8 @@ void Simulator::RunSlots(DisplacementPolicy* policy, int64_t slots) {
 }
 
 void Simulator::RunSharded(void (Simulator::*body)(int)) {
-  GlobalPool().ParallelFor(num_shards_, [this, body](int64_t shard) {
+  const int64_t work_ns = int64_t{fleet_.size()} * kShardedPhaseNsPerTaxi;
+  GlobalPool().ParallelFor(num_shards_, work_ns, [this, body](int64_t shard) {
     StallWatchdog::Heartbeat();
     (this->*body)(static_cast<int>(shard));
   });

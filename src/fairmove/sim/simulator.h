@@ -264,9 +264,11 @@ class Simulator {
   void MatchShard(int shard);
   void AccountShard(int shard);
 
-  /// Runs `body(shard)` for every shard on the global pool (inline serial
-  /// loop when the pool has one lane — byte-identical by the disjoint-write
-  /// + ordered-commit discipline).
+  /// Runs `body(shard)` for every shard on the global pool under its cost
+  /// rule, weighing the phase by the fleet size: a small city's shards run
+  /// inline on the caller in ascending order, as on a one-lane pool. Either
+  /// way the bytes are the same, by the disjoint-write + ordered-commit
+  /// discipline.
   void RunSharded(void (Simulator::*body)(int));
 
   /// Inserts `taxi` into the arrival calendar for `due_slot` (clamped to

@@ -532,6 +532,28 @@ TEST(PolicyStateTest, DqnRefusesMisfitTransitions) {
   ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
 }
 
+// Past the ring, a gradient step copies each sampled transition into
+// fixed-width rows and indexes the Q outputs by its action: a misfit dies
+// there instead of writing past them.
+TEST(PolicyStateDeathTest, DqnGradientStepRefusesMisfitTransitions) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+  const Misfits m =
+      MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
+  const auto learn = [&](const DisplacementPolicy::Transition& misfit) {
+    DqnPolicy::Options opt;
+    opt.hidden = {8};
+    opt.replay_capacity = 16;
+    opt.min_replay = 1;  // the first Learn already samples it
+    opt.minibatch = 4;
+    DqnPolicy policy(system->sim(), opt);
+    policy.Learn({misfit});
+  };
+  EXPECT_DEATH(learn(m.long_next_state), "foreign features");
+  EXPECT_DEATH(learn(m.bad_action), "action [0-9]+ outside");
+}
+
 /// Restores `bytes` into `target`, expects a refusal, and expects target's
 /// SaveState bytes to be what they were: a refused record commits nothing,
 /// so Trainer::TrainGuarded never trains a half-restored policy.
@@ -872,6 +894,8 @@ TEST(ResumeTest, ParallelPoolRunMatchesReference) {
   RunReference(&want_state, &want_stats);
 
   SetGlobalThreads(4);
+  // Small-city phases are below the pool's cost rule; keep them forking.
+  ScopedForkThresholdForTesting fork_every_phase(0);
   const std::string dir = ScratchDir("parallel");
   CheckpointConfig ckpt;
   ckpt.dir = dir;

@@ -89,6 +89,17 @@ TEST(DeterminismTest, TrainedCma2cIsReproducible) {
 
 // ------------------------------------- sharded stepping is thread-blind --
 
+std::string Digest(const FleetMetrics& m) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.17g|%.17g|%.17g|%.17g|%lld|%lld|%lld|%lld",
+                m.pe.empty() ? 0.0 : m.pe.Mean(), m.pf, m.pe_sum,
+                m.revenue_cny, static_cast<long long>(m.trips),
+                static_cast<long long>(m.charge_events),
+                static_cast<long long>(m.expired_requests),
+                static_cast<long long>(m.total_requests));
+  return buf;
+}
+
 // `busy_outage` also darkens station 7 at slot 25, when about 20 taxis
 // wait in its line, so the fault drain reroutes a real line (station 3 has
 // an empty line when it goes dark at slot 10).
@@ -115,16 +126,9 @@ std::string FullScaleDigest(int threads, bool busy_outage = false) {
   GtPolicy policy;
   system->sim().Reset();
   system->sim().RunSlots(&policy, 48);
-  const FleetMetrics m = ComputeFleetMetrics(system->sim());
-  char buf[512];
-  std::snprintf(buf, sizeof(buf), "%.17g|%.17g|%.17g|%.17g|%lld|%lld|%lld|%lld",
-                m.pe.empty() ? 0.0 : m.pe.Mean(), m.pf, m.pe_sum,
-                m.revenue_cny, static_cast<long long>(m.trips),
-                static_cast<long long>(m.charge_events),
-                static_cast<long long>(m.expired_requests),
-                static_cast<long long>(m.total_requests));
+  const std::string digest = Digest(ComputeFleetMetrics(system->sim()));
   SetGlobalThreads(1);
-  return buf;
+  return digest;
 }
 
 TEST(DeterminismTest, FullScaleShardedSteppingIsThreadCountInvariant) {
@@ -154,6 +158,54 @@ TEST(DeterminismTest, BusyStationOutageDrainIsGolden) {
   EXPECT_EQ(one,
             "29.040238191290179|187.00323161077498|584579.99479067128|"
             "4901065.94502299|124669|7476|9991|171579");
+}
+
+// 48 GT slots of a city at `scale` on `threads` lanes: the FleetMetrics
+// digest, and how many regions the pool shared meanwhile. `threshold_ns` is
+// the pool's cost rule (0 forks every sharded phase).
+struct SteppedCity {
+  std::string digest;
+  int64_t shared_regions = 0;
+};
+
+SteppedCity StepCity(double scale, int threads,
+                     int64_t threshold_ns = kForkThresholdNs) {
+  SetGlobalThreads(threads);
+  SteppedCity out;
+  {
+    ScopedForkThresholdForTesting threshold(threshold_ns);
+    auto system = std::move(FairMoveSystem::Create(
+                                FairMoveConfig::FullShenzhen().Scaled(scale)))
+                      .value();
+    GtPolicy policy;
+    const int64_t before = GlobalPool().stats().regions;
+    system->sim().RunSlots(&policy, 48);
+    out.shared_regions = GlobalPool().stats().regions - before;
+    out.digest = Digest(ComputeFleetMetrics(system->sim()));
+  }
+  SetGlobalThreads(1);
+  return out;
+}
+
+// The pool's cost rule decides whether a phase's shards fork; the shard
+// plan, and so the bytes, stay the same. A 1,007-taxi city runs inline at
+// every lane count (and forks under a lowered threshold), a 10,065-taxi
+// city forks at 2 and 4 lanes, and both step to one digest at 1, 2 and 4.
+TEST(DeterminismTest, ForkRuleKeepsDigestsAtEveryLaneCount) {
+  const SteppedCity small = StepCity(0.05, 1);
+  const SteppedCity large = StepCity(0.5, 1);
+  EXPECT_NE(small.digest, large.digest);
+  for (int threads : {2, 4}) {
+    const SteppedCity inline_small = StepCity(0.05, threads);
+    EXPECT_EQ(inline_small.digest, small.digest) << threads << " lanes";
+    EXPECT_EQ(inline_small.shared_regions, 0) << threads << " lanes";
+    const SteppedCity forked_small = StepCity(0.05, threads, 0);
+    EXPECT_EQ(forked_small.digest, small.digest) << threads << " lanes";
+    EXPECT_GT(forked_small.shared_regions, 0) << threads << " lanes";
+    const SteppedCity forked_large = StepCity(0.5, threads);
+    EXPECT_EQ(forked_large.digest, large.digest) << threads << " lanes";
+    EXPECT_GT(forked_large.shared_regions, 0) << threads << " lanes";
+  }
 }
 
 TEST(DeterminismTest, FeatureVectorsAreDeterministic) {

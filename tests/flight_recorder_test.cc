@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -306,7 +307,7 @@ TEST(ExporterTest, TickPublishesAllFourArtefacts) {
   for (int64_t v = 1000; v < 2000; v += 100) recorder.Record(v);
   FM_FLIGHT_EVENT("exporter.event", 1, 2);
 
-  const StatusOr<MetricsExporter*> exporter =
+  const StatusOr<std::unique_ptr<MetricsExporter>> exporter =
       MetricsExporter::Start({.dir = dir, .period_ms = 3600000});
   ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
   (*exporter)->Tick();
@@ -501,12 +502,15 @@ std::string FleetDigest(const FleetMetrics& m) {
 
 std::string RunTinySim(bool export_on, int threads, const std::string& dir) {
   SetGlobalThreads(threads);
-  MetricsExporter* exporter = nullptr;
+  // The city is below the pool's cost rule; lowering it keeps the exporter
+  // racing pool workers inside the sharded phases.
+  ScopedForkThresholdForTesting fork_every_phase(0);
+  std::unique_ptr<MetricsExporter> exporter;
   if (export_on) {
-    StatusOr<MetricsExporter*> started =
+    StatusOr<std::unique_ptr<MetricsExporter>> started =
         MetricsExporter::Start({.dir = dir, .period_ms = 10});
     EXPECT_TRUE(started.ok()) << started.status().ToString();
-    exporter = *started;
+    if (started.ok()) exporter = std::move(*started);
   }
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
@@ -616,7 +620,7 @@ TEST(CrashDumpTest, SigkilledChildLeavesLastExportedFlightDump) {
     // exporter replaces flight.fmfr atomically every 20 ms, so whatever
     // tick completed last must survive SIGKILL intact.
     FlightRecorder::SetEnabled(true);
-    StatusOr<MetricsExporter*> exporter =
+    StatusOr<std::unique_ptr<MetricsExporter>> exporter =
         MetricsExporter::Start({.dir = dir, .period_ms = 20});
     if (!exporter.ok()) _exit(10);
     static LatencyRecorder& recorder = LatencyRegistry::Get("child.loop");

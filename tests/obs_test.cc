@@ -368,6 +368,9 @@ std::string FleetDigest(const FleetMetrics& m) {
 std::string RunTinySim(bool telemetry_on, int threads,
                        const std::string& dir) {
   SetGlobalThreads(threads);
+  // The city is below the pool's cost rule; lowering it keeps the shards'
+  // telemetry on pool workers.
+  ScopedForkThresholdForTesting fork_every_phase(0);
   Telemetry& telemetry = Telemetry::Get();
   if (telemetry_on) {
     EXPECT_TRUE(telemetry.EnableForTesting(dir).ok());

@@ -155,6 +155,31 @@ TEST(ThreadPoolTest, ConcurrentCallersEachRunEveryIndex) {
   EXPECT_EQ(miscounts_b, 0);
 }
 
+// The cost rule: below the threshold a region runs on its caller in
+// ascending order and the pool's counters stay put; at it, or under a
+// lowered test threshold, the region is shared.
+TEST(ThreadPoolTest, RegionBelowTheForkThresholdRunsInline) {
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int next = 0;
+  pool.ParallelFor(8, kForkThresholdNs - 1, [&](int64_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(next, i);
+    ++next;
+  });
+  EXPECT_EQ(next, 8);
+  EXPECT_EQ(pool.stats().regions, 0);
+  pool.ParallelFor(8, kForkThresholdNs, [](int64_t) {});
+  EXPECT_EQ(pool.stats().regions, 1);
+  {
+    ScopedForkThresholdForTesting fork_everything(0);
+    pool.ParallelFor(8, 0, [](int64_t) {});
+  }
+  EXPECT_EQ(pool.stats().regions, 2);
+  pool.ParallelFor(8, 0, [](int64_t) {});  // the threshold is back
+  EXPECT_EQ(pool.stats().regions, 2);
+}
+
 TEST(ThreadPoolTest, SetGlobalThreadsSwapsThePool) {
   const int before = GlobalPool().num_threads();
   SetGlobalThreads(3);
@@ -224,6 +249,9 @@ TEST(ShardedForwardTest, SmallBatchFallsBackToOneShard) {
 // (MethodResult comparisons go through the derived comparison metrics,
 // which are doubles — EQ, not NEAR, on purpose).
 TEST(ParallelEvaluatorTest, ReplicaRunMatchesSharedSimulatorRun) {
+  // The replicas' phases are below the cost rule; a lowered threshold keeps
+  // them forking inside the fan-out's tasks.
+  ScopedForkThresholdForTesting fork_every_phase(0);
   const FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.03);
   const std::vector<PolicyKind> kinds = {PolicyKind::kGroundTruth,
                                          PolicyKind::kSd2,
@@ -261,6 +289,7 @@ TEST(ParallelEvaluatorTest, ReplicaRunMatchesSharedSimulatorRun) {
 // The flagship determinism check of the issue: the full comparison table at
 // FAIRMOVE_THREADS=1 vs 4 compares byte-identical.
 TEST(ParallelExperimentTest, RepeatedComparisonTableIsThreadCountInvariant) {
+  ScopedForkThresholdForTesting fork_every_phase(0);  // as above
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.03);
   cfg.trainer.episodes = 1;
   cfg.eval.days = 1;

@@ -326,6 +326,9 @@ TEST(RacingComparisonTest, EliminationDisabledMatchesFixedModeBytes) {
 }
 
 TEST(RacingComparisonTest, ByteIdenticalAcrossThreadCounts) {
+  // The cells' cities are below the pool's cost rule; a lowered threshold
+  // keeps their phases forking inside the grid's tasks.
+  ScopedForkThresholdForTesting fork_every_phase(0);
   const std::vector<PolicyKind> kinds = {
       PolicyKind::kGroundTruth, PolicyKind::kSd2, PolicyKind::kFairMove};
   RacingConfig racing;

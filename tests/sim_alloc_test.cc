@@ -164,15 +164,23 @@ std::vector<int64_t> WarmDayAllocationCounts() {
 // The sharded phases run on the global pool, so its dispatch is inside the
 // counted window. The test sets the lane count itself instead of taking
 // FAIRMOVE_THREADS or the core count, so a one-core box checks 4 lanes too.
+// The 300-taxi city is below the pool's cost rule, so at 4 lanes its phases
+// run inline unless the threshold is lowered; both paths are checked.
 TEST(SimAllocTest, SteadyStateStepDoesZeroHeapAllocations) {
   const int before = GlobalPool().num_threads();
-  for (int lanes : {1, 4}) {
-    SetGlobalThreads(lanes);
+  const struct {
+    int lanes;
+    int64_t fork_threshold_ns;
+  } cases[] = {{1, kForkThresholdNs}, {4, kForkThresholdNs}, {4, 0}};
+  for (const auto& c : cases) {
+    SetGlobalThreads(c.lanes);
+    ScopedForkThresholdForTesting threshold(c.fork_threshold_ns);
     const std::vector<int64_t> counts = WarmDayAllocationCounts();
     std::string per_day;
     for (int64_t count : counts) per_day += " " + std::to_string(count);
     EXPECT_EQ(counts.back(), 0)
-        << "Simulator::Step at " << lanes << " lanes still allocated after "
+        << "Simulator::Step at " << c.lanes << " lanes (fork threshold "
+        << c.fork_threshold_ns << " ns) still allocated after "
         << counts.size() << " warm days; per-day allocation counts:"
         << per_day;
   }
