@@ -44,9 +44,11 @@ std::unique_ptr<FairMoveSystem> MakeSystem(double scale) {
 // The pool's hand-off floor: one empty 4-index region on a private pool
 // of range(0) lanes, shared from 2 lanes up (plain ParallelFor, not the
 // cost rule): linking it, waking the workers, unlinking it. Real time,
-// because the caller's cpu time does not show the wait. The caller claims
-// every index before a worker wakes, so the cost of a real phase's
-// hand-off shows in the BM_SimulatorStepGt sweep instead (DESIGN.md §7).
+// because no lane's cpu time shows the wait. The caller claims every index
+// before a worker wakes, so the cost of a real phase's hand-off shows in
+// the BM_SimulatorStepGt sweep instead (DESIGN.md §7). Like every
+// benchmark with a `lanes` counter, its cpu time is the whole process's,
+// so the workers' share counts at any lane count.
 void BM_ParallelForEmpty(benchmark::State& state) {
   const int lanes = static_cast<int>(state.range(0));
   ThreadPool pool(lanes);
@@ -55,7 +57,12 @@ void BM_ParallelForEmpty(benchmark::State& state) {
   }
   state.counters["lanes"] = lanes;
 }
-BENCHMARK(BM_ParallelForEmpty)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_ParallelForEmpty)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 // Runs on the global pool: below the cost rule's threshold (about 7,500
 // taxis) the sharded phases run inline at any lane count, above it they
@@ -77,7 +84,13 @@ void BM_SimulatorStepGt(benchmark::State& state) {
 // /100 is the paper's full Shenzhen setting (20,130 taxis, 491 regions,
 // 123 stations) — the default experiment scale, benched directly so the
 // perfgate pins the configuration the tables actually run at.
-BENCHMARK(BM_SimulatorStepGt)->Arg(5)->Arg(10)->Arg(25)->Arg(50)->Arg(100);
+BENCHMARK(BM_SimulatorStepGt)
+    ->Arg(5)
+    ->Arg(10)
+    ->Arg(25)
+    ->Arg(50)
+    ->Arg(100)
+    ->MeasureProcessCPUTime();
 
 // Raw SoA column-scan throughput over the full-scale fleet: the vacancy
 // scan + SoC reduction every phase of the sharded Step leans on. Pins the
@@ -164,7 +177,7 @@ void BM_PolicyDecideBatch(benchmark::State& state) {
           static_cast<double>(vacant.size()),
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_PolicyDecideBatch)->Arg(5)->Arg(25);
+BENCHMARK(BM_PolicyDecideBatch)->Arg(5)->Arg(25)->MeasureProcessCPUTime();
 
 // The seed's Mlp::Forward for one row, frozen here as the fixed comparison
 // baseline: naive j-loop MatMul with the (since removed) a == 0 skip, a
@@ -270,7 +283,10 @@ void BM_EvaluatorCell(benchmark::State& state) {
   state.counters["cells/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EvaluatorCell)->Arg(2)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EvaluatorCell)
+    ->Arg(2)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MlpForward1(benchmark::State& state) {
   Mlp net({40, 64, 64, 14}, Activation::kTanh, 1);
@@ -346,14 +362,15 @@ void BM_FlightRecorderEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_FlightRecorderEvent);
 
-// The live-latency record path: one bucket index (count-leading-zeros), two
-// relaxed fetch_adds, a CAS max and the epoch-slot mirror write. Every
-// FM_SPAN exit pays this on top of the clock read.
+// What every FM_SPAN exit records on top of its two clock reads: one bucket
+// index (count-leading-zeros), then relaxed loads and stores of a bucket,
+// the count, the sum and the max of a histogram that only this thread
+// writes (its span-table node, obs/span.h).
 void BM_HistogramRecord(benchmark::State& state) {
-  LatencyRecorder& recorder = LatencyRegistry::Get("bench.record");
+  auto hist = std::make_unique<LogHistogram>();
   int64_t v = 1;
   for (auto _ : state) {
-    recorder.Record(v);
+    hist->Record(v);
     v = (v * 2862933555777941757LL + 3037000493LL) & 0xFFFFFFF;  // vary buckets
   }
   state.counters["records/s"] = benchmark::Counter(
@@ -426,8 +443,9 @@ bool WriteBenchJson(const std::string& path,
   doc.SetRaw("machine", machine.Str());
   // What bench_gate compares: cpu time excludes other-process noise that
   // wall time picks up on a shared CI box. A benchmark with a `lanes`
-  // counter runs on the pool, where main-thread cpu time hides the
-  // workers' time, so its real time is gated too.
+  // counter runs on the pool and measures the whole process's cpu time, so
+  // the row counts the workers at any lane count; its real time, which
+  // alone shows the hand-off waits, is gated too.
   doc.Set("gate_metric", "cpu_ns_per_iter");
   doc.SetRaw("benchmarks", benchmarks.empty() ? "[]" : benchmarks.Str());
   std::ofstream out(path, std::ios::trunc);

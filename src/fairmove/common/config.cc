@@ -112,17 +112,6 @@ Status EnvOverrides::LoadFromEnv() {
     }
     stall_budget_ms = budget;
   }
-  if (const char* v = std::getenv("FAIRMOVE_PROFILE")) {
-    const std::string s = v;
-    if (s == "1") {
-      profile = true;
-    } else if (s == "0") {
-      profile = false;
-    } else {
-      return Status::InvalidArgument("FAIRMOVE_PROFILE must be 0 or 1, got '" +
-                                     s + "'");
-    }
-  }
   return Status::OK();
 }
 

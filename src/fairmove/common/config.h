@@ -17,8 +17,9 @@ namespace fairmove {
 ///                        serial path, unset = hardware concurrency)
 ///   FAIRMOVE_TELEMETRY — directory for JSONL telemetry streams + run
 ///                        manifest (non-empty path; unset = telemetry off)
-///   FAIRMOVE_PROFILE   — "1" enables the scoped-span wall-clock profiler,
-///                        "0"/unset disables it
+///   FAIRMOVE_PROFILE   — "1" prints the FM_SPAN tree at run end and writes
+///                        profile.json, "0"/unset does not (parsed by the
+///                        profiler, obs/span.h, which aborts on other values)
 ///   FAIRMOVE_CHECKPOINT_DIR    — directory for durable training
 ///                        checkpoints (non-empty path; unset = off)
 ///   FAIRMOVE_CHECKPOINT_EVERY  — checkpoint every N episodes (>= 1)
@@ -42,7 +43,6 @@ struct EnvOverrides {
   int threads = 0;
   /// Empty = telemetry off.
   std::string telemetry_dir;
-  bool profile = false;
   /// Empty = checkpointing off.
   std::string checkpoint_dir;
   int checkpoint_every = 1;

@@ -6,9 +6,9 @@
 
 #include "fairmove/common/config.h"
 #include "fairmove/obs/flight_recorder.h"
-#include "fairmove/obs/latency.h"
 #include "fairmove/obs/manifest.h"
 #include "fairmove/obs/metrics.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/io/atomic_file.h"
 
 namespace fairmove {
@@ -17,8 +17,8 @@ namespace {
 
 constexpr int64_t kMinPeriodMs = 10;
 constexpr int64_t kMaxPeriodMs = 3600000;
-/// Sliding window width for the exported tail quantiles (completed epochs).
-constexpr int kExportWindows = 4;
+/// Width of the exported tail quantiles' window, in ticks.
+constexpr size_t kExportWindows = 4;
 
 MetricsExporter* g_exporter = nullptr;
 std::mutex g_exporter_mu;
@@ -26,6 +26,15 @@ std::mutex g_exporter_mu;
 void StopGlobalExporter() {
   std::lock_guard<std::mutex> lock(g_exporter_mu);
   if (g_exporter != nullptr) g_exporter->Stop();
+}
+
+/// Every site's Cumulative(), in LatencyRegistry::All() order.
+std::vector<LogHistogram::Snapshot> SiteCumulatives(
+    const std::vector<const SpanSite*>& sites) {
+  std::vector<LogHistogram::Snapshot> out;
+  out.reserve(sites.size());
+  for (const SpanSite* site : sites) out.push_back(site->Cumulative());
+  return out;
 }
 
 void AppendPromLine(std::string* out, const std::string& name,
@@ -103,6 +112,7 @@ StatusOr<std::unique_ptr<MetricsExporter>> MetricsExporter::Start(
                            "': " + ec.message());
   }
   std::unique_ptr<MetricsExporter> exporter(new MetricsExporter(options));
+  exporter->history_.push_front(SiteCumulatives(LatencyRegistry::All()));
   FM_RETURN_IF_ERROR(
       exporter->windows_.Open(options.dir + "/windows.jsonl"));
   MetricsExporter* running = exporter.get();
@@ -144,106 +154,86 @@ void MetricsExporter::Stop() {
 }
 
 void MetricsExporter::Tick() {
+  std::lock_guard<std::mutex> tick_lock(tick_mu_);
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  LatencyRegistry::AdvanceAllEpochs();
-  const std::vector<LatencyRecorder*> recorders = LatencyRegistry::All();
+  const auto epoch_id = static_cast<int64_t>(seq);
+  const std::vector<const SpanSite*> sites = LatencyRegistry::All();
+  std::vector<LogHistogram::Snapshot> now = SiteCumulatives(sites);
   const std::string now_utc = Iso8601UtcNow();
   const double period_s = static_cast<double>(options_.period_ms) / 1000.0;
 
-  // --- windows.jsonl: one row per recorder, monotonic epoch ids ----------
-  struct LatencyRow {
-    std::string name;
-    uint64_t epoch_id;
-    LogHistogram::Snapshot last;
-    LogHistogram::Snapshot window;
-    LogHistogram::Snapshot cumulative;
-  };
-  std::vector<LatencyRow> rows;
-  rows.reserve(recorders.size());
-  for (LatencyRecorder* recorder : recorders) {
-    LatencyRow row;
-    row.name = recorder->name();
-    // The per-recorder epoch, not `seq`: a recorder created between ticks
-    // starts at its own epoch 0 and must still export monotonic ids.
-    row.epoch_id = recorder->current_epoch();
-    row.last = recorder->Window(1);
-    row.window = recorder->Window(kExportWindows);
-    row.cumulative = recorder->Cumulative();
-    rows.push_back(std::move(row));
-  }
-  for (const LatencyRow& row : rows) {
-    JsonObject obj;
-    obj.Set("epoch_id", static_cast<int64_t>(row.epoch_id))
-        .Set("name", row.name)
-        .Set("count", row.last.count)
-        .Set("rate_per_s",
-             period_s > 0.0 ? static_cast<double>(row.last.count) / period_s
-                            : 0.0)
-        .Set("p50_ns", row.window.Quantile(0.50))
-        .Set("p90_ns", row.window.Quantile(0.90))
-        .Set("p99_ns", row.window.Quantile(0.99))
-        .Set("p999_ns", row.window.Quantile(0.999))
-        .Set("window_count", row.window.count)
-        .Set("window_max_ns", row.window.max)
-        .Set("cum_count", row.cumulative.count);
-    windows_.Write(obj);
-  }
-
-  // --- export.json: atomically replaced machine snapshot -----------------
-  JsonArray latency_json;
-  for (const LatencyRow& row : rows) {
-    JsonObject obj;
-    obj.Set("name", row.name)
-        .Set("epoch_id", static_cast<int64_t>(row.epoch_id))
-        .Set("cum_count", row.cumulative.count)
-        .Set("cum_mean_ns", row.cumulative.mean())
-        .Set("cum_max_ns", row.cumulative.max)
-        .Set("p50_ns", row.window.Quantile(0.50))
-        .Set("p90_ns", row.window.Quantile(0.90))
-        .Set("p99_ns", row.window.Quantile(0.99))
-        .Set("p999_ns", row.window.Quantile(0.999))
-        .Set("rate_per_s",
-             period_s > 0.0 ? static_cast<double>(row.last.count) / period_s
-                            : 0.0);
-    latency_json.PushRaw(obj.Str());
-  }
-  JsonObject root;
-  root.Set("schema", "fairmove.export.v1")
-      .Set("freshness_utc", now_utc)
-      .Set("freshness_seq", static_cast<int64_t>(seq))
-      .Set("epoch_id", static_cast<int64_t>(seq))
-      .Set("period_ms", options_.period_ms)
-      .SetRaw("latency", latency_json.Str())
-      .SetRaw("metrics", Metrics().ToJson());
-  (void)AtomicWriteFile(options_.dir + "/export.json", root.Str() + "\n");
-
-  // --- metrics.prom: Prometheus text exposition --------------------------
-  std::string prom;
-  prom.reserve(4096);
-  prom += "# fairmove metrics export seq=" + std::to_string(seq) + " " +
-          now_utc + "\n";
+  std::string prom = "# fairmove metrics export seq=" + std::to_string(seq) +
+                     " " + now_utc + "\n";
   for (const auto& [name, value] : Metrics().Counters()) {
     const std::string metric = "fairmove_" + PrometheusName(name);
     prom += "# TYPE " + metric + " counter\n";
     AppendPromLine(&prom, metric, "", static_cast<double>(value));
   }
-  for (const LatencyRow& row : rows) {
+
+  // Per site: a windows.jsonl row (the tick number as epoch id), an
+  // export.json entry and a Prometheus summary. The last window goes back
+  // one tick, the quantiles' window kExportWindows ticks (or to Start).
+  constexpr struct {
+    double q;
+    const char* key;
+    const char* label;
+  } kQuantiles[] = {{0.50, "p50_ns", "{quantile=\"0.5\"}"},
+                    {0.90, "p90_ns", "{quantile=\"0.9\"}"},
+                    {0.99, "p99_ns", "{quantile=\"0.99\"}"},
+                    {0.999, "p999_ns", "{quantile=\"0.999\"}"}};
+  JsonArray latency_json;
+  for (size_t i = 0; i < sites.size(); ++i) {
+    const LogHistogram::Snapshot& cumulative = now[i];
+    const auto since = [&](const std::vector<LogHistogram::Snapshot>& base) {
+      return i < base.size() ? cumulative.Since(base[i]) : cumulative.Since({});
+    };
+    const LogHistogram::Snapshot last = since(history_.front());
+    const LogHistogram::Snapshot window = since(history_.back());
+    const double rate =
+        period_s > 0.0 ? static_cast<double>(last.count) / period_s : 0.0;
     const std::string metric =
-        "fairmove_latency_" + PrometheusName(row.name) + "_ns";
+        "fairmove_latency_" + PrometheusName(sites[i]->name()) + "_ns";
     prom += "# TYPE " + metric + " summary\n";
-    AppendPromLine(&prom, metric, "{quantile=\"0.5\"}",
-                   static_cast<double>(row.window.Quantile(0.50)));
-    AppendPromLine(&prom, metric, "{quantile=\"0.9\"}",
-                   static_cast<double>(row.window.Quantile(0.90)));
-    AppendPromLine(&prom, metric, "{quantile=\"0.99\"}",
-                   static_cast<double>(row.window.Quantile(0.99)));
-    AppendPromLine(&prom, metric, "{quantile=\"0.999\"}",
-                   static_cast<double>(row.window.Quantile(0.999)));
+    JsonObject row;
+    row.Set("epoch_id", epoch_id)
+        .Set("name", sites[i]->name())
+        .Set("count", last.count)
+        .Set("rate_per_s", rate);
+    JsonObject entry;
+    entry.Set("name", sites[i]->name())
+        .Set("epoch_id", epoch_id)
+        .Set("cum_count", cumulative.count)
+        .Set("cum_mean_ns", cumulative.mean())
+        .Set("cum_max_ns", cumulative.max);
+    for (const auto& quantile : kQuantiles) {
+      const int64_t value = window.Quantile(quantile.q);
+      row.Set(quantile.key, value);
+      entry.Set(quantile.key, value);
+      AppendPromLine(&prom, metric, quantile.label, static_cast<double>(value));
+    }
+    row.Set("window_count", window.count)
+        .Set("window_max_ns", window.max)
+        .Set("cum_count", cumulative.count);
+    windows_.Write(row);
+    entry.Set("rate_per_s", rate);
+    latency_json.PushRaw(entry.Str());
     AppendPromLine(&prom, metric + "_sum", "",
-                   static_cast<double>(row.cumulative.sum));
+                   static_cast<double>(cumulative.sum));
     AppendPromLine(&prom, metric + "_count", "",
-                   static_cast<double>(row.cumulative.count));
+                   static_cast<double>(cumulative.count));
   }
+  history_.push_front(std::move(now));
+  if (history_.size() > kExportWindows) history_.pop_back();
+
+  JsonObject root;
+  root.Set("schema", "fairmove.export.v1")
+      .Set("freshness_utc", now_utc)
+      .Set("freshness_seq", epoch_id)
+      .Set("epoch_id", epoch_id)
+      .Set("period_ms", options_.period_ms)
+      .SetRaw("latency", latency_json.Str())
+      .SetRaw("metrics", Metrics().ToJson());
+  (void)AtomicWriteFile(options_.dir + "/export.json", root.Str() + "\n");
   (void)AtomicWriteFile(options_.dir + "/metrics.prom", prom);
 
   // --- flight.fmfr: last-good dump survives even SIGKILL -----------------

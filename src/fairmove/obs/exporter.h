@@ -4,13 +4,16 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "fairmove/common/status.h"
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/latency.h"
 
 namespace fairmove {
 
@@ -23,20 +26,21 @@ struct ExporterOptions {
 };
 StatusOr<ExporterOptions> ParseExportSpec(const std::string& spec);
 
-/// Periodic metrics exporter: every period it rotates the latency epoch,
-/// snapshots the metrics registry and latency recorders, and publishes
+/// Periodic metrics exporter: every period (a tick) it snapshots the
+/// metrics registry and each latency site's Cumulative() (obs/span.h), and
+/// publishes
 ///
 ///   metrics.prom  — Prometheus text exposition (atomically replaced)
 ///   export.json   — fairmove.export.v1 snapshot with freshness_utc /
 ///                   freshness_seq / epoch_id (atomically replaced)
-///   windows.jsonl — one appended row per latency recorder per tick with
-///                   the monotonic epoch id, last-epoch count and rate, and
-///                   sliding-window p50/p90/p99/p999
+///   windows.jsonl — one appended row per site per tick with the tick
+///                   number as epoch id, the last tick's count and rate,
+///                   and p50/p90/p99/p999 over the last kExportWindows ticks
 ///   flight.fmfr   — flight-recorder dump (atomically replaced, so the
 ///                   last completed export survives even SIGKILL)
 ///
 /// Strictly read-only with respect to the simulation: it never touches RNG
-/// or simulation state, and the registries it reads are designed for
+/// or simulation state, and the tables it reads are designed for
 /// concurrent read-while-write, so enabling export leaves every
 /// simulation/bench output byte-identical (enforced by the §8 invariance
 /// test at FAIRMOVE_THREADS 1 and 4).
@@ -73,6 +77,11 @@ class MetricsExporter {
   ExporterOptions options_;
   JsonlWriter windows_;
   std::atomic<uint64_t> seq_{0};
+  /// Serialises ticks (the thread's, Stop's and callers').
+  std::mutex tick_mu_;
+  /// The windows' bases: each site's Cumulative() (LatencyRegistry::All()
+  /// order) at the last kExportWindows ticks, newest first, or at Start.
+  std::deque<std::vector<LogHistogram::Snapshot>> history_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_requested_ = false;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
-#include <mutex>
 
 namespace fairmove {
 
@@ -30,20 +28,18 @@ int64_t LogHistogram::BucketUpperBound(int index) {
 }
 
 void LogHistogram::Record(int64_t v) {
-  buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  int64_t prev = max_.load(std::memory_order_relaxed);
-  while (v > prev &&
-         !max_.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  // Single writer: plain increments through relaxed atomics keep concurrent
+  // snapshots race-free without a locked read-modify-write.
+  std::atomic<int64_t>& bucket = buckets_[BucketIndex(v)];
+  bucket.store(bucket.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  count_.store(count_.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  sum_.store(sum_.load(std::memory_order_relaxed) + v,
+             std::memory_order_relaxed);
+  if (v > max_.load(std::memory_order_relaxed)) {
+    max_.store(v, std::memory_order_relaxed);
   }
-}
-
-void LogHistogram::Clear() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 LogHistogram::Snapshot LogHistogram::TakeSnapshot() const {
@@ -69,6 +65,27 @@ void LogHistogram::Snapshot::MergeFrom(const Snapshot& other) {
   max = std::max(max, other.max);
 }
 
+LogHistogram::Snapshot LogHistogram::Snapshot::Since(
+    const Snapshot& base) const {
+  Snapshot delta = *this;
+  if (base.buckets.size() == buckets.size()) {
+    for (size_t i = 0; i < buckets.size(); ++i) {
+      delta.buckets[i] -= base.buckets[i];
+    }
+    delta.count -= base.count;
+    delta.sum -= base.sum;
+  }
+  delta.max = 0;
+  for (size_t i = delta.buckets.size(); i-- > 0;) {
+    if (delta.buckets[i] > 0) {
+      delta.max =
+          std::min(BucketUpperBound(static_cast<int>(i)) - 1, max);
+      break;
+    }
+  }
+  return delta;
+}
+
 int64_t LogHistogram::Snapshot::Quantile(double q) const {
   if (count <= 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
@@ -89,73 +106,6 @@ int64_t LogHistogram::Snapshot::Quantile(double q) const {
     seen += in_bucket;
   }
   return max;
-}
-
-void LatencyRecorder::Record(int64_t ns) {
-  cumulative_.Record(ns);
-  epochs_[epoch_.load(std::memory_order_acquire) % kWindowSlots].Record(ns);
-}
-
-uint64_t LatencyRecorder::AdvanceEpoch() {
-  const uint64_t next = epoch_.load(std::memory_order_relaxed) + 1;
-  // Clear the incoming slot BEFORE publishing the new epoch index, so no
-  // writer can observe the new epoch and race the clear.
-  epochs_[next % kWindowSlots].Clear();
-  epoch_.store(next, std::memory_order_release);
-  return next;
-}
-
-LogHistogram::Snapshot LatencyRecorder::Window(int windows) const {
-  windows = std::clamp(windows, 1, kWindowSlots - 1);
-  const uint64_t cur = epoch_.load(std::memory_order_acquire);
-  LogHistogram::Snapshot merged;
-  merged.buckets.resize(LogHistogram::kNumBuckets);
-  for (int k = 1; k <= windows; ++k) {
-    if (static_cast<uint64_t>(k) > cur) break;  // epoch 0..cur-1 exist
-    merged.MergeFrom(epochs_[(cur - static_cast<uint64_t>(k)) % kWindowSlots]
-                         .TakeSnapshot());
-  }
-  return merged;
-}
-
-namespace {
-
-/// Name table and ordered list, both leaked (recorders are process-lifetime
-/// by contract; worker threads may hold references during static
-/// destruction).
-std::mutex g_latency_mu;
-std::map<std::string, LatencyRecorder*>* g_latency_by_name = nullptr;
-std::vector<LatencyRecorder*>* g_latency_ordered = nullptr;
-
-}  // namespace
-
-LatencyRecorder& LatencyRegistry::Get(const std::string& name) {
-  std::lock_guard<std::mutex> lock(g_latency_mu);
-  if (g_latency_by_name == nullptr) {
-    g_latency_by_name = new std::map<std::string, LatencyRecorder*>();
-    g_latency_ordered = new std::vector<LatencyRecorder*>();
-  }
-  auto it = g_latency_by_name->find(name);
-  if (it == g_latency_by_name->end()) {
-    auto* recorder = new LatencyRecorder(name);
-    it = g_latency_by_name->emplace(name, recorder).first;
-    g_latency_ordered->push_back(recorder);
-  }
-  return *it->second;
-}
-
-std::vector<LatencyRecorder*> LatencyRegistry::All() {
-  std::lock_guard<std::mutex> lock(g_latency_mu);
-  if (g_latency_ordered == nullptr) return {};
-  return *g_latency_ordered;
-}
-
-void LatencyRegistry::AdvanceAllEpochs() {
-  for (LatencyRecorder* recorder : All()) recorder->AdvanceEpoch();
-}
-
-void LatencyRegistry::ResetForTesting() {
-  for (LatencyRecorder* recorder : All()) recorder->ResetForTesting();
 }
 
 }  // namespace fairmove

@@ -14,7 +14,7 @@ namespace fairmove {
 /// callers are rare events (fault applications, divergence rollbacks,
 /// checkpoint rejects, stalls). Integer sums do not depend on the order of
 /// the increments, so the registry contents are the same at any thread
-/// count. Durations go to the latency recorders (obs/latency.h) instead.
+/// count. Durations go to the span table (obs/span.h) instead.
 ///
 /// Everything here is observational: no RNG, no effect on simulation state.
 class MetricsRegistry {

@@ -7,7 +7,6 @@
 #include "fairmove/common/parallel.h"
 #include "fairmove/obs/exporter.h"
 #include "fairmove/obs/flight_recorder.h"
-#include "fairmove/obs/latency.h"
 #include "fairmove/obs/metrics.h"
 #include "fairmove/obs/span.h"
 #include "fairmove/obs/watchdog.h"
@@ -16,11 +15,11 @@ namespace fairmove {
 
 namespace {
 
-/// Queue-wait tap feeding the live latency registry. Installed once at hub
-/// construction; only fired while ThreadPool timing is enabled.
+/// Queue-wait tap feeding the "pool.queue_wait" latency series. Installed
+/// once at hub construction; only fired while ThreadPool timing is enabled.
 void RecordQueueWaitLatency(int64_t wait_ns) {
-  static LatencyRecorder& recorder = LatencyRegistry::Get("pool.queue_wait");
-  recorder.Record(wait_ns);
+  static const SpanSite& site = LatencyRegistry::Get("pool.queue_wait");
+  site.Record(wait_ns);
 }
 
 std::string CompilerString() {

@@ -1,7 +1,7 @@
 // Live observability: the always-on flight recorder (ring wrap, interning,
-// FMFR1 dump round-trip + CRC rejection), log-bucketed latency histograms
-// with epoch-rotated sliding windows, the periodic metrics exporter and its
-// artefacts, Chrome/Perfetto trace conversion with balance guarantees, the
+// FMFR1 dump round-trip + CRC rejection), log-bucketed latency histograms,
+// the periodic metrics exporter with its tick windows and artefacts,
+// Chrome/Perfetto trace conversion with balance guarantees, the
 // stall watchdog, and — via real forked children — that an aborted or
 // SIGKILLed process still leaves a parseable flight dump behind.
 
@@ -220,51 +220,19 @@ TEST(LogHistogramTest, SnapshotsMergeAdditively) {
   EXPECT_LT(merged.Quantile(0.1), 200);
 }
 
-// ------------------------------------------------------ latency recorder --
-
-TEST(LatencyRecorderTest, EpochRotationIsolatesSlidingWindows) {
-  LatencyRecorder recorder("test.rotation");
-  recorder.Record(100);
-  recorder.Record(200);
-  // Epoch 0 is still open: no completed window yet.
-  EXPECT_EQ(recorder.current_epoch(), 0u);
-  EXPECT_EQ(recorder.Window(1).count, 0);
-  EXPECT_EQ(recorder.AdvanceEpoch(), 1u);
-  EXPECT_EQ(recorder.Window(1).count, 2);
-  recorder.Record(300);
-  recorder.AdvanceEpoch();
-  EXPECT_EQ(recorder.Window(1).count, 1);   // just the last completed epoch
-  EXPECT_EQ(recorder.Window(2).count, 3);   // both completed epochs
-  EXPECT_EQ(recorder.Cumulative().count, 3);
-  EXPECT_EQ(recorder.Cumulative().max, 300);
-}
-
-TEST(LatencyRecorderTest, WindowSurvivesSlotReuseAfterManyEpochs) {
-  LatencyRecorder recorder("test.wrap");
-  for (int e = 0; e < 2 * LatencyRecorder::kWindowSlots; ++e) {
-    recorder.Record(10 + e);
-    recorder.AdvanceEpoch();
-  }
-  // Only kWindowSlots - 1 completed epochs are addressable; asking for more
-  // caps there instead of reading the slot about to be cleared.
-  const LogHistogram::Snapshot wide =
-      recorder.Window(LatencyRecorder::kWindowSlots + 3);
-  EXPECT_EQ(wide.count, LatencyRecorder::kWindowSlots - 1);
-  EXPECT_EQ(recorder.Window(1).count, 1);
-  EXPECT_EQ(recorder.Cumulative().count, 2 * LatencyRecorder::kWindowSlots);
-}
+// ------------------------------------------------------ latency registry --
 
 TEST(LatencyRegistryTest, GetInternsOneRecorderPerName) {
-  LatencyRecorder& a = LatencyRegistry::Get("registry.name");
-  LatencyRecorder& b = LatencyRegistry::Get("registry.name");
+  const SpanSite& a = LatencyRegistry::Get("registry.name");
+  const SpanSite& b = LatencyRegistry::Get("registry.name");
   EXPECT_EQ(&a, &b);
   bool found = false;
-  for (LatencyRecorder* recorder : LatencyRegistry::All()) {
-    if (recorder == &a) found = true;
+  for (const SpanSite* site : LatencyRegistry::All()) {
+    if (site == &a) found = true;
   }
   EXPECT_TRUE(found);
-  // FM_SPAN feeds the recorder of its name whatever the profiler and the
-  // flight recorder say: exactly one sample per span exit.
+  // FM_SPAN records into its site whatever the profiler and the flight
+  // recorder say: exactly one sample per span exit.
   Profiler::SetEnabled(false);
   FlightRecorder::SetEnabled(false);
   const int64_t before =
@@ -303,15 +271,15 @@ TEST(ExporterTest, PrometheusNameSanitises) {
 TEST(ExporterTest, TickPublishesAllFourArtefacts) {
   const std::string dir = TempSubdir("exporter");
   FlightRecorder::SetEnabled(true);
-  LatencyRecorder& recorder = LatencyRegistry::Get("exporter.probe");
-  for (int64_t v = 1000; v < 2000; v += 100) recorder.Record(v);
+  const SpanSite& site = LatencyRegistry::Get("exporter.probe");
+  for (int64_t v = 1000; v < 2000; v += 100) site.Record(v);
   FM_FLIGHT_EVENT("exporter.event", 1, 2);
 
   const StatusOr<std::unique_ptr<MetricsExporter>> exporter =
       MetricsExporter::Start({.dir = dir, .period_ms = 3600000});
   ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
   (*exporter)->Tick();
-  recorder.Record(5000);
+  site.Record(5000);
   (*exporter)->Stop();  // joins the thread + one final snapshot
   EXPECT_GE((*exporter)->ticks(), 2u);
 
@@ -337,7 +305,7 @@ TEST(ExporterTest, TickPublishesAllFourArtefacts) {
   }
   EXPECT_TRUE(probe_found);
 
-  // windows.jsonl: parseable rows with per-recorder monotonic epoch ids.
+  // windows.jsonl: parseable rows with per-site monotonic epoch ids.
   std::ifstream windows(dir + "/windows.jsonl");
   ASSERT_TRUE(windows.good());
   std::vector<std::pair<std::string, int64_t>> last_epoch;
@@ -377,6 +345,87 @@ TEST(ExporterTest, TickPublishesAllFourArtefacts) {
   // flight.fmfr: a CRC-valid dump survives as the last export.
   const StatusOr<FlightDump> dump = ReadFlightDumpFile(dir + "/flight.fmfr");
   EXPECT_TRUE(dump.ok()) << dump.status().ToString();
+}
+
+/// The rows windows.jsonl in `dir` holds for `name`, in file order.
+std::vector<JsonValue> WindowRows(const std::string& dir,
+                                  const std::string& name) {
+  std::vector<JsonValue> rows;
+  std::ifstream in(dir + "/windows.jsonl");
+  std::string line;
+  while (std::getline(in, line)) {
+    StatusOr<JsonValue> row = ParseJson(line);
+    if (row.ok() && row->StringOr("name", "") == name) {
+      rows.push_back(std::move(*row));
+    }
+  }
+  return rows;
+}
+
+int64_t Field(const JsonValue& row, const char* key) {
+  return static_cast<int64_t>(row.NumberOr(key, -1.0));
+}
+
+// A tick's row counts what was recorded since the tick before (count) and
+// since four ticks before, or since Start while fewer have run
+// (window_count); its epoch id is the tick number.
+TEST(ExporterTest, WindowsCountTheLastTickAndTheLastFourTicks) {
+  const std::string dir = TempSubdir("exporter_windows");
+  const SpanSite& site = LatencyRegistry::Get("exporter.windows");
+  site.Record(100);  // before Start: cumulative only
+  StatusOr<std::unique_ptr<MetricsExporter>> exporter =
+      MetricsExporter::Start({.dir = dir, .period_ms = 3600000});
+  ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+  for (int tick = 1; tick <= 6; ++tick) {
+    for (int i = 0; i < tick; ++i) site.Record(100);
+    (*exporter)->Tick();
+  }
+  (*exporter)->Stop();  // a seventh tick, with nothing new
+
+  const std::vector<JsonValue> rows = WindowRows(dir, "exporter.windows");
+  ASSERT_EQ(rows.size(), 7u);
+  const int64_t last[] = {1, 2, 3, 4, 5, 6, 0};
+  const int64_t window[] = {1, 3, 6, 10, 14, 18, 15};
+  int64_t cumulative = 1;
+  for (size_t t = 0; t < rows.size(); ++t) {
+    cumulative += last[t];
+    EXPECT_EQ(Field(rows[t], "epoch_id"), static_cast<int64_t>(t + 1));
+    EXPECT_EQ(Field(rows[t], "count"), last[t]) << "tick " << t + 1;
+    EXPECT_EQ(Field(rows[t], "window_count"), window[t]) << "tick " << t + 1;
+    EXPECT_EQ(Field(rows[t], "cum_count"), cumulative) << "tick " << t + 1;
+  }
+}
+
+// A window's max is the upper edge of its highest non-empty bucket, capped
+// at the cumulative max: exact while the series' largest sample is inside
+// the window, one bucket's resolution once that sample has slid out.
+TEST(ExporterTest, WindowMaxSlidesOutWithItsSample) {
+  const std::string dir = TempSubdir("exporter_window_max");
+  const SpanSite& site = LatencyRegistry::Get("exporter.window_max");
+  StatusOr<std::unique_ptr<MetricsExporter>> exporter =
+      MetricsExporter::Start({.dir = dir, .period_ms = 3600000});
+  ASSERT_TRUE(exporter.ok()) << exporter.status().ToString();
+  site.Record(5000);
+  for (int tick = 1; tick <= 6; ++tick) {
+    site.Record(100);
+    (*exporter)->Tick();
+  }
+  (*exporter)->Stop();
+
+  const std::vector<JsonValue> rows = WindowRows(dir, "exporter.window_max");
+  ASSERT_EQ(rows.size(), 7u);
+  const int64_t small_edge =
+      LogHistogram::BucketUpperBound(LogHistogram::BucketIndex(100)) - 1;
+  for (size_t t = 0; t < rows.size(); ++t) {
+    const bool holds_5000 = t < 4;  // tick 1 leaves the window at tick 5
+    EXPECT_EQ(Field(rows[t], "window_max_ns"), holds_5000 ? 5000 : small_edge)
+        << "tick " << t + 1;
+    EXPECT_LE(Field(rows[t], "p999_ns"), Field(rows[t], "window_max_ns"));
+    if (!holds_5000) {
+      EXPECT_GE(Field(rows[t], "p50_ns"), 100) << "tick " << t + 1;
+    }
+  }
+  EXPECT_EQ(Field(rows.back(), "window_count"), 3);  // ticks 4, 5 and 6
 }
 
 // ------------------------------------------------- trace conversion -------
@@ -623,10 +672,10 @@ TEST(CrashDumpTest, SigkilledChildLeavesLastExportedFlightDump) {
     StatusOr<std::unique_ptr<MetricsExporter>> exporter =
         MetricsExporter::Start({.dir = dir, .period_ms = 20});
     if (!exporter.ok()) _exit(10);
-    static LatencyRecorder& recorder = LatencyRegistry::Get("child.loop");
+    static const SpanSite& site = LatencyRegistry::Get("child.loop");
     for (int i = 0; i < 100000; ++i) {
       FM_FLIGHT_EVENT("child.tick", i, 0);
-      recorder.Record(1000 + i);
+      site.Record(1000 + i);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     _exit(0);  // parent kills us long before this

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fairmove/common/parallel.h"
@@ -17,6 +20,7 @@
 #include "fairmove/core/metrics.h"
 #include "fairmove/obs/json_parse.h"
 #include "fairmove/obs/jsonl.h"
+#include "fairmove/obs/latency.h"
 #include "fairmove/obs/manifest.h"
 #include "fairmove/obs/metrics.h"
 #include "fairmove/obs/span.h"
@@ -223,15 +227,6 @@ TEST(PoolStatsTest, CountersMoveOnlyOnParallelBranch) {
 
 // ----------------------------------------------------------------- Spans --
 
-// With the profiler off a span stays out of the tree (it still records its
-// latency sample; LatencyRegistryTest.GetInternsOneRecorderPerName pins that).
-TEST(SpanTest, DisabledProfilerRecordsNoTree) {
-  Profiler::SetEnabled(false);
-  Profiler::Reset();
-  { FM_SPAN("never/recorded"); }
-  EXPECT_EQ(Profiler::ReportText(), "");
-}
-
 TEST(SpanTest, NestedSpansBuildAHierarchicalTree) {
   Profiler::SetEnabled(true);
   Profiler::Reset();
@@ -293,6 +288,89 @@ TEST(SpanTest, TrainingEpisodeNestsLearnUnderEpisode) {
   const JsonValue* learn = child(episode->Find("children"), "train/learn");
   ASSERT_NE(learn, nullptr) << json;
   EXPECT_GE(learn->NumberOr("count", 0.0), 1.0) << json;
+}
+
+/// Span counts of a ReportJson "spans" array, summed per name.
+void SumCounts(const JsonValue& spans, std::map<std::string, int64_t>* out) {
+  for (const JsonValue& node : spans.items) {
+    (*out)[node.StringOr("name", "")] +=
+        static_cast<int64_t>(node.NumberOr("count", 0.0));
+    if (const JsonValue* kids = node.Find("children"); kids != nullptr) {
+      SumCounts(*kids, out);
+    }
+  }
+}
+
+/// Every site's Cumulative(), by name.
+std::map<std::string, LogHistogram::Snapshot> Cumulatives() {
+  std::map<std::string, LogHistogram::Snapshot> out;
+  for (const SpanSite* site : LatencyRegistry::All()) {
+    out[site->name()] = site->Cumulative();
+  }
+  return out;
+}
+
+// The report and the per-name series are views of one table. After a
+// Reset, a TQL training episode on this thread and an evaluator fan-out
+// whose cells train and step on pool workers (which then exit), the report
+// counts of each site add up to exactly what its Cumulative() gained.
+// Spans record whatever the profiler flag says, and Reset moves no
+// Cumulative().
+TEST(SpanTest, ReportAndCumulativeAreViewsOfOneTable) {
+  const int threads_before = GlobalPool().num_threads();
+  SetGlobalThreads(4);
+  ThreadPool::SetTimingEnabled(false);  // no pool.queue_wait samples
+  Profiler::SetEnabled(false);
+  FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.03);
+  cfg.trainer.episodes = 1;
+  cfg.trainer.slots_per_episode = 12;
+  cfg.eval.days = 1;
+  auto system = std::move(FairMoveSystem::Create(cfg)).value();
+
+  const std::map<std::string, LogHistogram::Snapshot> before = Cumulatives();
+  Profiler::Reset();
+  std::map<std::string, LogHistogram::Snapshot> base = Cumulatives();
+  for (const auto& [name, snap] : before) {
+    const LogHistogram::Snapshot& now = base[name];
+    EXPECT_EQ(now.count, snap.count) << name;
+    EXPECT_EQ(now.sum, snap.sum) << name;
+    EXPECT_EQ(now.max, snap.max) << name;
+    EXPECT_EQ(now.buckets, snap.buckets) << name;
+  }
+
+  { FM_SPAN("span/profiler_off"); }
+  {
+    // A reader walks every table while the caller and the workers write
+    // theirs (the TSan pass runs this).
+    std::atomic<bool> done{false};
+    std::thread reader([&done] {
+      while (!done.load()) {
+        (void)Profiler::ReportJson();
+        (void)LatencyRegistry::Get("sim.step").Cumulative();
+      }
+    });
+    ScopedForkThresholdForTesting fork_every_phase(0);
+    auto policy = MakePolicy(PolicyKind::kTql, system->sim(), 5);
+    Trainer trainer = system->MakeTrainer();
+    trainer.Train(policy.get());
+    system->RunComparison(
+        {PolicyKind::kGroundTruth, PolicyKind::kSd2, PolicyKind::kTql});
+    done.store(true);
+    reader.join();
+  }
+  SetGlobalThreads(threads_before);
+
+  const StatusOr<JsonValue> doc = ParseJson(Profiler::ReportJson());
+  ASSERT_TRUE(doc.ok());
+  ASSERT_NE(doc->Find("spans"), nullptr);
+  std::map<std::string, int64_t> reported;
+  SumCounts(*doc->Find("spans"), &reported);
+  EXPECT_EQ(reported["span/profiler_off"], 1);
+  EXPECT_GT(reported["evaluator/method"], 0);
+  EXPECT_GT(reported["train/learn"], 0);
+  for (const auto& [name, now] : Cumulatives()) {
+    EXPECT_EQ(reported[name], now.count - base[name].count) << name;
+  }
 }
 
 // ------------------------------------------------------ Manifest & hub ----

@@ -25,6 +25,7 @@
 #include "fairmove/demand/demand_model.h"
 #include "fairmove/geo/city_builder.h"
 #include "fairmove/nn/matrix.h"
+#include "fairmove/obs/span.h"
 #include "fairmove/pricing/tou_tariff.h"
 #include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/dqn_policy.h"
@@ -165,22 +166,31 @@ std::vector<int64_t> WarmDayAllocationCounts() {
 // counted window. The test sets the lane count itself instead of taking
 // FAIRMOVE_THREADS or the core count, so a one-core box checks 4 lanes too.
 // The 300-taxi city is below the pool's cost rule, so at 4 lanes its phases
-// run inline unless the threshold is lowered; both paths are checked.
+// run inline unless the threshold is lowered; both paths are checked. The
+// step's FM_SPANs record into the same span-table nodes whether or not the
+// profiler is on, so the profiler-on case must not allocate either.
 TEST(SimAllocTest, SteadyStateStepDoesZeroHeapAllocations) {
   const int before = GlobalPool().num_threads();
   const struct {
     int lanes;
     int64_t fork_threshold_ns;
-  } cases[] = {{1, kForkThresholdNs}, {4, kForkThresholdNs}, {4, 0}};
+    bool profile;
+  } cases[] = {{1, kForkThresholdNs, false},
+               {4, kForkThresholdNs, false},
+               {4, 0, false},
+               {4, 0, true}};
   for (const auto& c : cases) {
     SetGlobalThreads(c.lanes);
     ScopedForkThresholdForTesting threshold(c.fork_threshold_ns);
+    Profiler::SetEnabled(c.profile);
     const std::vector<int64_t> counts = WarmDayAllocationCounts();
+    Profiler::SetEnabled(false);
     std::string per_day;
     for (int64_t count : counts) per_day += " " + std::to_string(count);
     EXPECT_EQ(counts.back(), 0)
         << "Simulator::Step at " << c.lanes << " lanes (fork threshold "
-        << c.fork_threshold_ns << " ns) still allocated after "
+        << c.fork_threshold_ns << " ns, profiler "
+        << (c.profile ? "on" : "off") << ") still allocated after "
         << counts.size() << " warm days; per-day allocation counts:"
         << per_day;
   }

@@ -19,9 +19,11 @@
 // Every benchmark is gated on cpu_ns_per_iter (the document's
 // `gate_metric`: wall time picks up other-process noise on a shared box, cpu
 // time does not). A benchmark that runs on the thread pool carries a `lanes`
-// counter, and its main-thread cpu time hides what the workers do, so it is
-// gated on real_ns_per_iter too — when the fresh run has the baseline's lane
-// and core counts; otherwise the table says it was skipped.
+// counter and measures the whole process's cpu time, so its cpu row counts
+// the workers' work too and compares like for like at any lane count. Only
+// real time shows the waits of a hand-off, so such a benchmark is gated on
+// real_ns_per_iter too — when the fresh run has the baseline's lane and
+// core counts; otherwise the table says it was skipped.
 // `--tolerance=T` allows fresh <= baseline * (1 + T); the default T = 1.5
 // is deliberately generous — the gate exists to catch step-change
 // regressions (a vector loop falling back to scalar, an allocation slipped
@@ -226,14 +228,14 @@ int RunGate(const Options& opt) {
   // The diff table, baseline order, one row per gated metric. ratio > 1 is
   // a slowdown.
   std::vector<std::string> regressed;
-  std::printf("%-40s %5s %14s %14s %8s  %s\n", "benchmark", "time",
+  std::printf("%-46s %5s %14s %14s %8s  %s\n", "benchmark", "time",
               "baseline(ns)", "fresh(ns)", "ratio", "verdict");
   const auto gate = [&](const std::string& name, const char* metric,
                         double base_ns, double fresh_ns) {
     const bool gateable = base_ns > 0.0;
     const double ratio = gateable ? fresh_ns / base_ns : 1.0;
     const bool ok = !gateable || ratio <= 1.0 + opt.tolerance;
-    std::printf("%-40s %5s %14.1f %14.1f %7.2fx  %s\n", name.c_str(), metric,
+    std::printf("%-46s %5s %14.1f %14.1f %7.2fx  %s\n", name.c_str(), metric,
                 base_ns, fresh_ns, ratio, ok ? "ok" : "REGRESSED");
     if (!ok) {
       char detail[200];
@@ -247,7 +249,7 @@ int RunGate(const Options& opt) {
   for (const BenchEntry& base : baseline) {
     const BenchEntry* now = FindEntry(fresh, base.name);
     if (now == nullptr) {
-      std::printf("%-40s %5s %14.1f %14s %8s  MISSING\n", base.name.c_str(),
+      std::printf("%-46s %5s %14.1f %14s %8s  MISSING\n", base.name.c_str(),
                   "cpu", base.cpu_ns_per_iter, "-", "-");
       regressed.push_back(base.name + " (missing from fresh run)");
       continue;
@@ -255,7 +257,7 @@ int RunGate(const Options& opt) {
     gate(base.name, "cpu", base.cpu_ns_per_iter, now->cpu_ns_per_iter);
     if (base.lanes < 0.0) continue;  // not on the pool: cpu tells it all
     if (!same_cores || now->lanes != base.lanes) {
-      std::printf("%-40s %5s %14.1f %14.1f %8s  skipped: %g lanes on %g "
+      std::printf("%-46s %5s %14.1f %14.1f %8s  skipped: %g lanes on %g "
                   "cores, baseline %g on %g\n",
                   base.name.c_str(), "real", base.real_ns_per_iter,
                   now->real_ns_per_iter, "-", now->lanes, fresh_or->nproc,

@@ -8,7 +8,7 @@
 // Also validates the live-observability artefacts:
 //   obs_check --export <dir>    FAIRMOVE_METRICS_EXPORT output: export.json
 //                               schema + freshness fields, windows.jsonl
-//                               per-recorder monotonic epoch ids, and the
+//                               per-site monotonic epoch ids, and the
 //                               flight.fmfr snapshot's header + CRC
 //   obs_check --flight <file>   one FMFR1 flight dump (header, CRC, bounds)
 //   obs_check --trace <file>    Chrome trace-event JSON: B/E must balance
@@ -304,7 +304,7 @@ Status CheckExportJson(const std::string& path) {
 }
 
 /// windows.jsonl contract: every row carries the quantile payload, and the
-/// epoch ids are strictly increasing per recorder name — the property that
+/// epoch ids are strictly increasing per site name — the property that
 /// makes the sliding windows stitchable into a time series.
 Status CheckWindowRows(const std::string& path) {
   std::ifstream in(path);
@@ -339,7 +339,7 @@ Status CheckWindowRows(const std::string& path) {
       last_epoch.emplace_back(name, epoch);
     } else if (epoch <= entry->second) {
       return Status::InvalidArgument(
-          where + ": recorder '" + name + "' epoch_id " +
+          where + ": site '" + name + "' epoch_id " +
           std::to_string(epoch) + " does not increase past " +
           std::to_string(entry->second));
     } else {
@@ -347,7 +347,7 @@ Status CheckWindowRows(const std::string& path) {
     }
     ++rows;
   }
-  std::printf("  ok  %-16s %lld row(s) across %zu recorder(s)\n",
+  std::printf("  ok  %-16s %lld row(s) across %zu site(s)\n",
               std::filesystem::path(path).filename().c_str(),
               static_cast<long long>(rows), last_epoch.size());
   return Status::OK();
