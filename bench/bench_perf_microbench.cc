@@ -326,8 +326,9 @@ BENCHMARK(BM_MlpTrainStep)->Arg(64)->Arg(512)->Arg(3500);
 // lanes' work counts at any lane count.
 void BM_Cma2cUpdate(benchmark::State& state) {
   auto system = MakeSystem(0.04);
-  const std::vector<DisplacementPolicy::Transition> batch =
-      SyntheticTransitions(system->sim(), 3500, /*seed=*/41);
+  const TransitionStore batch =
+      RowsOf(system->sim(), FeatureExtractor(&system->sim()).dim(),
+             SyntheticTransitions(system->sim(), 3500, /*seed=*/41));
   Cma2cPolicy::Options opt;
   opt.actor_warmup_batches = 0;
   Cma2cPolicy policy(system->sim(), opt);

@@ -49,21 +49,6 @@ Status EnvOverrides::LoadFromEnv() {
     if (d <= 0) return Status::InvalidArgument("FAIRMOVE_DAYS must be > 0");
     days = static_cast<int>(d);
   }
-  if (const char* v = std::getenv("FAIRMOVE_THREADS")) {
-    FM_ASSIGN_OR_RETURN(int64_t t, ParseInt(v));
-    if (t < 1 || t > 4096) {
-      return Status::InvalidArgument("FAIRMOVE_THREADS must be in [1, 4096]");
-    }
-    threads = static_cast<int>(t);
-  }
-  if (const char* v = std::getenv("FAIRMOVE_TELEMETRY")) {
-    if (v[0] == '\0') {
-      return Status::InvalidArgument(
-          "FAIRMOVE_TELEMETRY must be a non-empty directory path "
-          "(unset it to disable telemetry)");
-    }
-    telemetry_dir = v;
-  }
   if (const char* v = std::getenv("FAIRMOVE_CHECKPOINT_DIR")) {
     if (v[0] == '\0') {
       return Status::InvalidArgument(
@@ -85,32 +70,6 @@ Status EnvOverrides::LoadFromEnv() {
       return Status::InvalidArgument("FAIRMOVE_CHECKPOINT_RETAIN must be >= 1");
     }
     checkpoint_retain = static_cast<int>(r);
-  }
-  if (const char* v = std::getenv("FAIRMOVE_METRICS_EXPORT")) {
-    // Mirrors ParseExportSpec in obs/exporter.cc (common cannot depend on
-    // obs): <dir>:<period_ms>, period last so dirs containing ':' parse.
-    const std::string spec = v;
-    const size_t colon = spec.rfind(':');
-    if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-      return Status::InvalidArgument(
-          "FAIRMOVE_METRICS_EXPORT must be <dir>:<period_ms>, got '" + spec +
-          "'");
-    }
-    FM_ASSIGN_OR_RETURN(int64_t period, ParseInt(spec.substr(colon + 1)));
-    if (period < 10 || period > 3600000) {
-      return Status::InvalidArgument(
-          "FAIRMOVE_METRICS_EXPORT period_ms must be in [10, 3600000]");
-    }
-    metrics_export_dir = spec.substr(0, colon);
-    metrics_export_period_ms = period;
-  }
-  if (const char* v = std::getenv("FAIRMOVE_STALL_MS")) {
-    FM_ASSIGN_OR_RETURN(int64_t budget, ParseInt(v));
-    if (budget < 100 || budget > 3600000) {
-      return Status::InvalidArgument(
-          "FAIRMOVE_STALL_MS must be in [100, 3600000]");
-    }
-    stall_budget_ms = budget;
   }
   return Status::OK();
 }

@@ -13,45 +13,39 @@ namespace fairmove {
 ///   FAIRMOVE_EPISODES  — training episodes for learned policies
 ///   FAIRMOVE_SEED      — master RNG seed
 ///   FAIRMOVE_DAYS      — evaluation horizon in days
-///   FAIRMOVE_THREADS   — execution-layer thread count (>= 1; 1 = exact
-///                        serial path, unset = hardware concurrency)
-///   FAIRMOVE_TELEMETRY — directory for JSONL telemetry streams + run
-///                        manifest (non-empty path; unset = telemetry off)
-///   FAIRMOVE_PROFILE   — "1" prints the FM_SPAN tree at run end and writes
-///                        profile.json, "0"/unset does not (parsed by the
-///                        profiler, obs/span.h, which aborts on other values)
 ///   FAIRMOVE_CHECKPOINT_DIR    — directory for durable training
 ///                        checkpoints (non-empty path; unset = off)
 ///   FAIRMOVE_CHECKPOINT_EVERY  — checkpoint every N episodes (>= 1)
 ///   FAIRMOVE_CHECKPOINT_RETAIN — retained checkpoint depth (>= 1)
-///   FAIRMOVE_METRICS_EXPORT — <dir>:<period_ms> live metrics export
-///                        (period in [10, 3600000]; unset = off)
-///   FAIRMOVE_STALL_MS  — stall watchdog wall-clock budget in ms
-///                        ([100, 3600000]; unset = watchdog off)
-///   FAIRMOVE_FLIGHT    — "0" disables the flight recorder (default on)
-///   FAIRMOVE_FLIGHT_EVENTS — per-thread ring capacity (rounded up to a
-///                        power of two in [256, 1048576])
 /// Unset variables leave the provided default untouched; malformed values
 /// return InvalidArgument so a typo fails loudly instead of silently running
 /// the wrong experiment.
+///
+/// Every other variable is parsed once, by the code that owns it. These
+/// are off (or at their default) when unset, and abort with the variable's
+/// name on an empty or malformed value:
+///   FAIRMOVE_THREADS   — pool lanes in [1, 4096]; unset = hardware
+///                        concurrency (ParseThreadCount, common/parallel.h)
+///   FAIRMOVE_TELEMETRY — JSONL telemetry + run manifest directory
+///                        (ParseTelemetryDir, obs/telemetry.h)
+///   FAIRMOVE_PROFILE   — 0 or 1 (ParseProfileSetting, obs/span.h)
+///   FAIRMOVE_METRICS_EXPORT — <dir>:<period_ms> live metrics export,
+///                        period in [10, 3600000] (ParseExportSpec,
+///                        obs/exporter.h)
+///   FAIRMOVE_STALL_MS  — stall watchdog budget in ms, [100, 3600000]
+///                        (ParseStallBudget, obs/watchdog.h)
+/// The flight recorder reads FAIRMOVE_FLIGHT ("0" disables it),
+/// FAIRMOVE_FLIGHT_EVENTS (per-thread ring capacity) and
+/// FAIRMOVE_FLIGHT_DUMP_DIR itself (obs/flight_recorder.h).
 struct EnvOverrides {
   double scale = 1.0;
   int episodes = 0;
   uint64_t seed = 0;
   int days = 0;
-  /// 0 = unset (the pool sizes itself from hardware concurrency).
-  int threads = 0;
-  /// Empty = telemetry off.
-  std::string telemetry_dir;
   /// Empty = checkpointing off.
   std::string checkpoint_dir;
   int checkpoint_every = 1;
   int checkpoint_retain = 3;
-  /// Empty = live metrics export off.
-  std::string metrics_export_dir;
-  int64_t metrics_export_period_ms = 0;
-  /// 0 = stall watchdog off.
-  int64_t stall_budget_ms = 0;
 
   /// Reads the FAIRMOVE_* variables, using the current field values as
   /// defaults.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <string>
 
 #include "fairmove/common/config.h"
 
@@ -175,15 +176,23 @@ void ThreadPool::Run(int64_t n, bool share, Body body, const void* fn) {
   if (region.error) std::rethrow_exception(region.error);
 }
 
+StatusOr<int> ParseThreadCount(const char* value) {
+  if (value == nullptr) return 0;
+  const StatusOr<int64_t> parsed = ParseInt(value);
+  if (!parsed.ok() || *parsed < 1 || *parsed > 4096) {
+    return Status::InvalidArgument(
+        std::string("FAIRMOVE_THREADS must be an integer in [1, 4096], got '") +
+        value + "'");
+  }
+  return static_cast<int>(*parsed);
+}
+
 int EffectiveThreadCount() {
   static const int count = [] {
-    if (const char* v = std::getenv("FAIRMOVE_THREADS")) {
-      const StatusOr<int64_t> parsed = ParseInt(v);
-      FM_CHECK(parsed.ok() && *parsed >= 1 && *parsed <= 4096)
-          << "FAIRMOVE_THREADS must be an integer in [1, 4096], got '" << v
-          << "'";
-      return static_cast<int>(*parsed);
-    }
+    const StatusOr<int> threads =
+        ParseThreadCount(std::getenv("FAIRMOVE_THREADS"));
+    FM_CHECK(threads.ok()) << threads.status().ToString();
+    if (*threads != 0) return *threads;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fairmove/common/macros.h"
+#include "fairmove/common/status.h"
 
 namespace fairmove {
 
@@ -162,9 +163,13 @@ class ScopedForkThresholdForTesting {
   int64_t previous_;
 };
 
+/// Parses a FAIRMOVE_THREADS value: an integer in [1, 4096], or 0 when
+/// `value` is null (unset). Empty and malformed values are InvalidArgument.
+StatusOr<int> ParseThreadCount(const char* value);
+
 /// Thread count the process-wide pool is sized with: FAIRMOVE_THREADS when
-/// set (>= 1; malformed values abort — a typo must not silently serialise
-/// an experiment), otherwise std::thread::hardware_concurrency().
+/// set (a value ParseThreadCount refuses aborts — a typo must not silently
+/// serialise an experiment), otherwise std::thread::hardware_concurrency().
 int EffectiveThreadCount();
 
 /// Process-wide pool, lazily constructed with EffectiveThreadCount() lanes.

@@ -115,8 +115,8 @@ void Trainer::StepAndCollect(
             reward_.FairnessGradient(pe_gap, pe_term);
     const double w = std::pow(gamma, static_cast<double>(
                                           pending->elapsed_slots));
-    pending->acc_reward += w * r;
-    pending->acc_reward_own += w * pe_term;
+    pending->open.reward += w * r;
+    pending->open.reward_own += w * pe_term;
     pending->elapsed_slots += 1;
   }
 
@@ -133,36 +133,22 @@ void Trainer::StepAndCollect(
     const Decision& d = decisions[i];
     auto& pending = pendings_[static_cast<size_t>(d.taxi)];
     if (pending.has_value()) {
-      DisplacementPolicy::Transition t;
-      t.state = std::move(pending->state);
-      t.action_index = pending->action_index;
-      t.reward = pending->acc_reward;
-      t.reward_own = pending->acc_reward_own;
-      t.discount = std::pow(gamma, static_cast<double>(
-                                        pending->elapsed_slots));
-      t.terminal = false;
-      t.region = pending->region;
-      t.slot_of_day = pending->slot_of_day;
-      t.must_charge = pending->must_charge;
-      t.may_charge = pending->may_charge;
+      DisplacementPolicy::Transition t = Close(&*pending, false, stats);
       t.next_region = d.region;
       t.next_slot_of_day = slot_of_day;
       t.next_must_charge = d.must_charge;
       t.next_may_charge = d.may_charge;
       if (features != nullptr) t.next_state = (*features)[i];
-      stats->avg_reward += t.reward;
-      stats->avg_reward_own += t.reward_own;
-      stats->transitions += 1;
       if (learning) closed->push_back(std::move(t));
     }
-    Pending fresh;
-    if (features != nullptr) fresh.state = (*features)[i];
-    fresh.action_index = d.action_index;
-    fresh.region = d.region;
-    fresh.slot_of_day = slot_of_day;
-    fresh.must_charge = d.must_charge;
-    fresh.may_charge = d.may_charge;
-    pending = std::move(fresh);
+    pending.emplace();
+    DisplacementPolicy::Transition& open = pending->open;
+    if (features != nullptr) open.state = (*features)[i];
+    open.action_index = d.action_index;
+    open.region = d.region;
+    open.slot_of_day = slot_of_day;
+    open.must_charge = d.must_charge;
+    open.may_charge = d.may_charge;
   }
 }
 
@@ -171,25 +157,22 @@ void Trainer::FlushPendings(
     EpisodeStats* stats) {
   for (auto& pending : pendings_) {
     if (!pending.has_value()) continue;
-    DisplacementPolicy::Transition t;
-    t.state = std::move(pending->state);
-    t.action_index = pending->action_index;
-    t.reward = pending->acc_reward;
-    t.reward_own = pending->acc_reward_own;
-    t.discount =
-        std::pow(config_.reward.gamma,
-                 static_cast<double>(pending->elapsed_slots));
-    t.terminal = true;
-    t.region = pending->region;
-    t.slot_of_day = pending->slot_of_day;
-    t.must_charge = pending->must_charge;
-    t.may_charge = pending->may_charge;
-    stats->avg_reward += t.reward;
-    stats->avg_reward_own += t.reward_own;
-    stats->transitions += 1;
+    DisplacementPolicy::Transition t = Close(&*pending, true, stats);
     if (closed != nullptr) closed->push_back(std::move(t));
     pending.reset();
   }
+}
+
+DisplacementPolicy::Transition Trainer::Close(Pending* pending, bool terminal,
+                                              EpisodeStats* stats) const {
+  DisplacementPolicy::Transition t = std::move(pending->open);
+  t.discount = std::pow(config_.reward.gamma,
+                        static_cast<double>(pending->elapsed_slots));
+  t.terminal = terminal;
+  stats->avg_reward += t.reward;
+  stats->avg_reward_own += t.reward_own;
+  stats->transitions += 1;
+  return t;
 }
 
 Trainer::EpisodeStats Trainer::RunTrainingEpisode(DisplacementPolicy* policy,
@@ -207,28 +190,33 @@ Trainer::EpisodeStats Trainer::RunTrainingEpisode(DisplacementPolicy* policy,
   policy->BeginEpisode(*sim_);
   EpisodeStats stats;
   std::vector<DisplacementPolicy::Transition> closed;
-  for (int64_t slot = 0; slot < config_.slots_per_episode; ++slot) {
-    closed.clear();
-    StepAndCollect(policy, learns, &closed, &stats);
+  const auto learn = [&] {
     if (learns && !closed.empty()) {
       FM_SPAN("train/learn");
       policy->Learn(closed);
     }
+    closed.clear();
+  };
+  for (int64_t slot = 0; slot < config_.slots_per_episode; ++slot) {
+    StepAndCollect(policy, learns, &closed, &stats);
+    learn();
   }
-  closed.clear();
   FlushPendings(learns ? &closed : nullptr, &stats);
-  if (learns && !closed.empty()) {
-    FM_SPAN("train/learn");
-    policy->Learn(closed);
-  }
-  if (stats.transitions > 0) {
-    stats.avg_reward /= static_cast<double>(stats.transitions);
-    stats.avg_reward_own /= static_cast<double>(stats.transitions);
-  }
-  stats.fleet_pe_mean = sim_->FleetMeanPe();
-  stats.fleet_pf = sim_->FleetPeVariance();
-  EmitEpisodeRow("train", policy, episode, seed, stats);
+  learn();
+  FinishEpisode("train", policy, episode, seed, &stats);
   return stats;
+}
+
+void Trainer::FinishEpisode(const char* phase, DisplacementPolicy* policy,
+                            int episode, uint64_t seed,
+                            EpisodeStats* stats) const {
+  if (stats->transitions > 0) {
+    stats->avg_reward /= static_cast<double>(stats->transitions);
+    stats->avg_reward_own /= static_cast<double>(stats->transitions);
+  }
+  stats->fleet_pe_mean = sim_->FleetMeanPe();
+  stats->fleet_pf = sim_->FleetPeVariance();
+  EmitEpisodeRow(phase, policy, episode, seed, *stats);
 }
 
 std::vector<Trainer::EpisodeStats> Trainer::Train(
@@ -240,11 +228,6 @@ std::vector<Trainer::EpisodeStats> Trainer::Train(
     all_stats.push_back(RunTrainingEpisode(policy, episode));
   }
   return all_stats;
-}
-
-Status Trainer::TrainGuarded(DisplacementPolicy* policy,
-                             std::vector<EpisodeStats>* stats) {
-  return TrainGuarded(policy, stats, CheckpointConfig{});
 }
 
 uint32_t Trainer::ConfigCrc() const {
@@ -447,13 +430,7 @@ Trainer::EpisodeStats Trainer::RunEvaluationEpisode(
     StepAndCollect(policy, /*learning=*/false, nullptr, &stats);
   }
   FlushPendings(nullptr, &stats);
-  if (stats.transitions > 0) {
-    stats.avg_reward /= static_cast<double>(stats.transitions);
-    stats.avg_reward_own /= static_cast<double>(stats.transitions);
-  }
-  stats.fleet_pe_mean = sim_->FleetMeanPe();
-  stats.fleet_pf = sim_->FleetPeVariance();
-  EmitEpisodeRow("eval", policy, /*episode=*/0, seed, stats);
+  FinishEpisode("eval", policy, /*episode=*/0, seed, &stats);
   return stats;
 }
 

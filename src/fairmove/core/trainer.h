@@ -77,10 +77,8 @@ class Trainer {
   /// policy reports itself unhealthy (e.g. CMA2C's DivergenceGuard budget
   /// is spent) or an episode produced non-finite statistics. A finished
   /// healthy run returns OK. `stats` may be nullptr.
-  Status TrainGuarded(DisplacementPolicy* policy,
-                      std::vector<EpisodeStats>* stats);
-
-  /// TrainGuarded with durable checkpointing. When `ckpt.enabled()`:
+  ///
+  /// With durable checkpointing, when `ckpt.enabled()`:
   ///   - before training, the newest valid checkpoint in `ckpt.dir` whose
   ///     config CRC and policy name match this run is restored (stats
   ///     history, episode cursor, full policy state) and training resumes
@@ -94,7 +92,7 @@ class Trainer {
   /// same EpisodeStats, same telemetry digests).
   Status TrainGuarded(DisplacementPolicy* policy,
                       std::vector<EpisodeStats>* stats,
-                      const CheckpointConfig& ckpt);
+                      const CheckpointConfig& ckpt = CheckpointConfig());
 
   /// CRC32 over every training-affecting knob (TrainerConfig + reward
   /// shape). Stamped into checkpoint frames; resume refuses a frame whose
@@ -130,15 +128,11 @@ class Trainer {
   const TrainerConfig& config() const { return config_; }
 
  private:
+  /// An agent's open decision: its transition with the decision side
+  /// filled in and the reward accumulating, until the agent decides again
+  /// or the episode ends.
   struct Pending {
-    std::vector<float> state;
-    int action_index = 0;
-    RegionId region = kInvalidRegion;
-    int slot_of_day = 0;
-    bool must_charge = false;
-    bool may_charge = false;
-    double acc_reward = 0.0;
-    double acc_reward_own = 0.0;
+    DisplacementPolicy::Transition open;
     int64_t elapsed_slots = 0;
   };
 
@@ -151,6 +145,16 @@ class Trainer {
   /// Closes every open pending as terminal (episode end).
   void FlushPendings(std::vector<DisplacementPolicy::Transition>* closed,
                      EpisodeStats* stats);
+
+  /// Takes `pending`'s transition, discounted over its window, and counts
+  /// it in `stats`; the caller fills in the next decision's side.
+  DisplacementPolicy::Transition Close(Pending* pending, bool terminal,
+                                       EpisodeStats* stats) const;
+
+  /// Averages `stats` over its transitions, adds the fleet's PE mean and
+  /// variance and emits the episode's telemetry row.
+  void FinishEpisode(const char* phase, DisplacementPolicy* policy,
+                     int episode, uint64_t seed, EpisodeStats* stats) const;
 
   /// Runs training episode `episode` (seeding, rollout, learning, stats).
   EpisodeStats RunTrainingEpisode(DisplacementPolicy* policy, int episode);

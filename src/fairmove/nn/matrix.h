@@ -35,6 +35,12 @@ class Matrix {
     data_.resize(static_cast<size_t>(rows) * cols);
   }
 
+  /// Capacity for `rows` rows of the current width: growing up to them
+  /// later moves no element.
+  void ReserveRows(int rows) {
+    data_.reserve(static_cast<size_t>(rows) * cols_);
+  }
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
   size_t size() const { return data_.size(); }

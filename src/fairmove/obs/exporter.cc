@@ -85,7 +85,7 @@ MetricsExporter* MetricsExporter::StartFromEnv() {
     if (g_exporter != nullptr) return g_exporter;
   }
   const char* spec = std::getenv("FAIRMOVE_METRICS_EXPORT");
-  if (spec == nullptr || spec[0] == '\0') return nullptr;
+  if (spec == nullptr) return nullptr;
   const StatusOr<ExporterOptions> options = ParseExportSpec(spec);
   FM_CHECK(options.ok()) << "FAIRMOVE_METRICS_EXPORT=" << spec << ": "
                          << options.status().ToString();

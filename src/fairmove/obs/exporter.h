@@ -47,10 +47,10 @@ StatusOr<ExporterOptions> ParseExportSpec(const std::string& spec);
 class MetricsExporter {
  public:
   /// Starts the process-wide exporter from FAIRMOVE_METRICS_EXPORT.
-  /// Returns nullptr when the variable is unset; aborts on a malformed
-  /// spec (a typo must not silently disable observability). Idempotent —
-  /// later calls return the already-running instance, which lives until
-  /// exit (an atexit hook stops it).
+  /// Returns nullptr when the variable is unset; aborts on an empty or
+  /// malformed spec (a typo must not silently disable observability).
+  /// Idempotent — later calls return the already-running instance, which
+  /// lives until exit (an atexit hook stops it).
   static MetricsExporter* StartFromEnv();
 
   /// Starts an exporter the caller owns (tests). Creates `dir`.

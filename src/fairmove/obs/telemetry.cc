@@ -46,11 +46,23 @@ std::string BuildTypeString() {
 
 }  // namespace
 
+StatusOr<std::string> ParseTelemetryDir(const char* value) {
+  if (value == nullptr) return std::string();
+  if (value[0] == '\0') {
+    return Status::InvalidArgument(
+        "FAIRMOVE_TELEMETRY must be a non-empty directory path (unset it to "
+        "disable telemetry)");
+  }
+  return std::string(value);
+}
+
 Telemetry::Telemetry() {
-  const char* dir = std::getenv("FAIRMOVE_TELEMETRY");
-  if (dir != nullptr && dir[0] != '\0') {
-    const Status status = EnableAt(dir);
-    FM_CHECK(status.ok()) << "FAIRMOVE_TELEMETRY=" << dir << ": "
+  const StatusOr<std::string> dir =
+      ParseTelemetryDir(std::getenv("FAIRMOVE_TELEMETRY"));
+  FM_CHECK(dir.ok()) << dir.status().ToString();
+  if (!dir->empty()) {
+    const Status status = EnableAt(*dir);
+    FM_CHECK(status.ok()) << "FAIRMOVE_TELEMETRY=" << *dir << ": "
                           << status.ToString();
   }
   // Live observability services. These run regardless of the telemetry

@@ -9,6 +9,10 @@
 
 namespace fairmove {
 
+/// Parses a FAIRMOVE_TELEMETRY value: the telemetry directory, or "" (off)
+/// when `value` is null (unset). An empty value is InvalidArgument.
+StatusOr<std::string> ParseTelemetryDir(const char* value);
+
 /// Process-wide telemetry hub, gated by FAIRMOVE_TELEMETRY=<dir>.
 ///
 /// When the variable is unset, enabled() is false and every hook in the

@@ -96,14 +96,23 @@ void MonitorLoop() {
 
 }  // namespace
 
+StatusOr<int64_t> ParseStallBudget(const char* value) {
+  if (value == nullptr) return 0;
+  const StatusOr<int64_t> parsed = ParseInt(value);
+  if (!parsed.ok() || *parsed < kMinBudgetMs || *parsed > kMaxBudgetMs) {
+    return Status::InvalidArgument(
+        "FAIRMOVE_STALL_MS must be an integer in [" +
+        std::to_string(kMinBudgetMs) + ", " + std::to_string(kMaxBudgetMs) +
+        "], got '" + value + "'");
+  }
+  return *parsed;
+}
+
 void StallWatchdog::StartFromEnv(const std::string& dump_dir) {
-  const char* v = std::getenv("FAIRMOVE_STALL_MS");
-  if (v == nullptr || v[0] == '\0') return;
-  const StatusOr<int64_t> parsed = ParseInt(v);
-  FM_CHECK(parsed.ok() && *parsed >= kMinBudgetMs && *parsed <= kMaxBudgetMs)
-      << "FAIRMOVE_STALL_MS must be an integer in [" << kMinBudgetMs << ", "
-      << kMaxBudgetMs << "], got '" << v << "'";
-  Start(*parsed, dump_dir);
+  const StatusOr<int64_t> budget =
+      ParseStallBudget(std::getenv("FAIRMOVE_STALL_MS"));
+  FM_CHECK(budget.ok()) << budget.status().ToString();
+  if (*budget != 0) Start(*budget, dump_dir);
 }
 
 void StallWatchdog::Start(int64_t budget_ms, const std::string& dump_dir) {

@@ -4,7 +4,14 @@
 #include <cstdint>
 #include <string>
 
+#include "fairmove/common/status.h"
+
 namespace fairmove {
+
+/// Parses a FAIRMOVE_STALL_MS value: a budget in [100, 3600000] ms, or 0
+/// (watchdog off) when `value` is null (unset). Empty and malformed values
+/// are InvalidArgument.
+StatusOr<int64_t> ParseStallBudget(const char* value);
 
 /// Wall-clock stall detector for long-running fleet processes. Instrumented
 /// loops call Heartbeat() whenever they make progress (per slot, per shard
@@ -23,8 +30,8 @@ namespace fairmove {
 /// increment per Heartbeat().
 class StallWatchdog {
  public:
-  /// Starts the monitor from FAIRMOVE_STALL_MS (budget, [100, 3600000]);
-  /// no-op when unset, aborts on a malformed value. `dump_dir` receives
+  /// Starts the monitor from FAIRMOVE_STALL_MS (ParseStallBudget); no-op
+  /// when unset, aborts on a value the parser refuses. `dump_dir` receives
   /// flight_stall.fmfr.
   static void StartFromEnv(const std::string& dump_dir);
 

@@ -28,7 +28,8 @@ Cma2cPolicy::Cma2cPolicy(const Simulator& sim, Options options)
       space_(&sim.action_space()),
       features_(&sim),
       num_actions_(sim.action_space().size()),
-      rng_(options.seed) {
+      rng_(options.seed),
+      batch_(features_.dim(), num_actions_) {
   std::vector<int> actor_sizes{features_.dim()};
   for (int h : options_.actor_hidden) actor_sizes.push_back(h);
   actor_sizes.push_back(num_actions_);
@@ -130,8 +131,8 @@ Status Cma2cPolicy::SaveState(BinaryWriter* out) const {
   out->WriteF64(last_actor_loss_);
   // The transition buffer accumulates across episode boundaries (it drains
   // only when batch_size fills), so it is part of the resumable state.
-  out->WriteU64(buffer_.size());
-  WriteTransitions(buffer_, out);
+  out->WriteU64(static_cast<uint64_t>(batch_.size()));
+  batch_.Write(out);
   out->WriteBool(guard_ != nullptr);
   if (guard_ != nullptr) FM_RETURN_IF_ERROR(guard_->SaveState(out));
   return Status::OK();
@@ -164,9 +165,8 @@ Status Cma2cPolicy::RestoreState(BinaryReader* in) {
   FM_RETURN_IF_ERROR(in->ReadF64(&actor_loss));
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
-  std::vector<Transition> buffer;
-  FM_RETURN_IF_ERROR(
-      ReadTransitions(in, buffered, features_.dim(), num_actions_, &buffer));
+  TransitionStore batch(features_.dim(), num_actions_);
+  FM_RETURN_IF_ERROR(batch.Read(in, buffered));
   bool has_guard = false;
   FM_RETURN_IF_ERROR(in->ReadBool(&has_guard));
   if (has_guard != (guard_ != nullptr)) {
@@ -194,7 +194,7 @@ Status Cma2cPolicy::RestoreState(BinaryReader* in) {
   last_critic_loss_ = critic_loss;
   last_entropy_ = entropy;
   last_actor_loss_ = actor_loss;
-  buffer_ = std::move(buffer);
+  batch_ = std::move(batch);
   if (guard.has_value()) *guard_ = std::move(*guard);
   return Status::OK();
 }
@@ -234,43 +234,27 @@ void Cma2cPolicy::RollBack(const std::string& why) {
 void Cma2cPolicy::Learn(const std::vector<Transition>& transitions) {
   if (!training_ || transitions.empty()) return;
   if (guard_ != nullptr && guard_->exhausted()) return;
-  buffer_.insert(buffer_.end(), transitions.begin(), transitions.end());
-  if (buffer_.size() < options_.batch_size) return;
+  for (const Transition& t : transitions) batch_.Append(t);
+  if (static_cast<size_t>(batch_.size()) < options_.batch_size) return;
   for (int pass = 0; pass < options_.passes_per_batch; ++pass) {
     if (guard_ != nullptr && guard_->exhausted()) break;
-    Update(buffer_);
+    Update(batch_);
   }
-  buffer_.clear();
+  batch_.Clear();
 }
 
-void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
-  const int n = static_cast<int>(transitions.size());
-  const int dim = features_.dim();
+void Cma2cPolicy::Update(const TransitionStore& batch) {
+  const int n = batch.size();
   // The update's passes shard their batch rows over the pool; every
   // gradient is bit-identical at any lane count (see Mlp::Backward).
   ThreadPool* pool = &GlobalPool();
 
-  x_.ResizeForOverwrite(n, dim);
-  next_x_.ResizeForOverwrite(n, dim);
-  for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
-    FM_CHECK(static_cast<int>(t.state.size()) == dim &&
-             (t.terminal || static_cast<int>(t.next_state.size()) == dim))
-        << "CMA2C transition carries foreign features";
-    std::copy(t.state.begin(), t.state.end(), x_.Row(i));
-    float* next_row = next_x_.Row(i);
-    if (t.terminal) {
-      std::fill(next_row, next_row + dim, 0.0f);
-    } else {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_row);
-    }
-  }
-
   // --- Critic: minimise (V(s) - y)^2 with y from the target net (Eq 6-7).
-  critic_target_->Forward(next_x_, &next_v_, pool, &target_ws_);
+  // A terminal row's next state is zeros; its target ignores the value.
+  critic_target_->Forward(batch.next_states(), &next_v_, pool, &target_ws_);
   targets_.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
+    const TransitionScalars& t = batch.scalars(i);
     targets_[static_cast<size_t>(i)] =
         t.reward + (t.terminal ? 0.0 : t.discount * next_v_.At(i, 0));
   }
@@ -284,7 +268,7 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
     }
   }
 
-  critic_->ForwardTape(x_, &critic_tape_, pool);
+  critic_->ForwardTape(batch.states(), &critic_tape_, pool);
   const Matrix& v = critic_->Output(critic_tape_);
   critic_grad_.ResizeForOverwrite(n, 1);
   advantages_.resize(static_cast<size_t>(n));
@@ -341,13 +325,13 @@ void Cma2cPolicy::Update(const std::vector<Transition>& transitions) {
                    static_cast<double>(learn_batches_)));
 
   // --- Actor: policy gradient with entropy regularisation (Eq 8).
-  actor_->ForwardTape(x_, &actor_tape_, pool);
+  actor_->ForwardTape(batch.states(), &actor_tape_, pool);
   const Matrix& logits = actor_->Output(actor_tape_);
   actor_grad_.ResizeForOverwrite(n, num_actions_);
   double total_entropy = 0.0;
   double total_actor_loss = 0.0;
   for (int i = 0; i < n; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
+    const TransitionScalars& t = batch.scalars(i);
     space_->Mask(t.region, t.must_charge, t.may_charge, &mask_scratch_);
     probs_.assign(logits.Row(i), logits.Row(i) + num_actions_);
     MaskedSoftmax(mask_scratch_, &probs_);

@@ -9,6 +9,7 @@
 #include "fairmove/nn/mlp.h"
 #include "fairmove/resilience/divergence_guard.h"
 #include "fairmove/rl/features.h"
+#include "fairmove/rl/replay_buffer.h"
 #include "fairmove/sim/policy.h"
 
 namespace fairmove {
@@ -84,9 +85,9 @@ class Cma2cPolicy : public DisplacementPolicy {
   /// The armed guard, or nullptr (diagnostics for tests/benches).
   const DivergenceGuard* divergence_guard() const { return guard_.get(); }
 
-  /// One gradient update over `transitions` (called by Learn once the
-  /// buffer fills; exposed for tests).
-  void Update(const std::vector<Transition>& transitions);
+  /// One gradient update over every row of `batch`, a store of this
+  /// policy's width and action count (Learn's, once full; for tests).
+  void Update(const TransitionStore& batch);
   const std::vector<std::vector<float>>* LastFeatures() const override {
     return &last_features_;
   }
@@ -111,9 +112,6 @@ class Cma2cPolicy : public DisplacementPolicy {
   double last_critic_loss() const { return last_critic_loss_; }
   /// Mean entropy of the behaviour distribution in the last Learn() batch.
   double last_entropy() const { return last_entropy_; }
-  /// Mean policy-gradient surrogate loss (-advantage * log pi(a|s)) of the
-  /// last actor update; 0 during critic warm-up.
-  double last_actor_loss() const { return last_actor_loss_; }
 
   void AppendTelemetry(JsonObject* row) const override;
 
@@ -135,7 +133,7 @@ class Cma2cPolicy : public DisplacementPolicy {
   Rng rng_;
   bool training_ = true;
   int learn_batches_ = 0;
-  std::vector<Transition> buffer_;
+  TransitionStore batch_;  // fills across Learn calls up to batch_size
   double last_critic_loss_ = 0.0;
   double last_entropy_ = 0.0;
   double last_actor_loss_ = 0.0;
@@ -149,8 +147,6 @@ class Cma2cPolicy : public DisplacementPolicy {
   Mlp::ShardedWorkspace forward_ws_;
   // Training scratch reused across Update() calls: once the batch size is
   // stable, an update allocates nothing (pinned by sim_alloc_test).
-  Matrix x_;
-  Matrix next_x_;
   Matrix next_v_;
   Matrix critic_grad_;
   Matrix actor_grad_;

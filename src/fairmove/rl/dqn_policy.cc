@@ -6,6 +6,7 @@
 
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
+#include "fairmove/rl/epsilon_greedy.h"
 #include "fairmove/sim/simulator.h"
 
 namespace fairmove {
@@ -22,7 +23,7 @@ DqnPolicy::DqnPolicy(const Simulator& sim, Options options)
       space_(&sim.action_space()),
       features_(&sim),
       num_actions_(sim.action_space().size()),
-      replay_(options.replay_capacity),
+      replay_(options.replay_capacity, features_.dim(), num_actions_),
       rng_(options.seed) {
   std::vector<int> sizes;
   sizes.push_back(features_.dim());
@@ -42,11 +43,8 @@ DqnPolicy::DqnPolicy(const Simulator& sim, Options options)
 }
 
 double DqnPolicy::CurrentEpsilon() const {
-  const double frac =
-      std::min(1.0, static_cast<double>(learn_batches_) /
-                        std::max(1, options_.epsilon_decay_batches));
-  return options_.epsilon_start +
-         frac * (options_.epsilon_end - options_.epsilon_start);
+  return AnnealedEpsilon(options_.epsilon_start, options_.epsilon_end,
+                         options_.epsilon_decay_batches, learn_batches_);
 }
 
 void DqnPolicy::DecideActions(const Simulator& sim,
@@ -68,30 +66,8 @@ void DqnPolicy::DecideActions(const Simulator& sim,
     const float* row_x = batch_x_.Row(static_cast<int>(i));
     last_features_[i].assign(row_x, row_x + dim);
     space_->Mask(obs.region, obs.must_charge, obs.may_charge, &mask_scratch_);
-    int chosen = -1;
-    if (rng_.NextDouble() < epsilon) {
-      int valid = 0;
-      for (bool b : mask_scratch_) valid += b ? 1 : 0;
-      int pick =
-          static_cast<int>(rng_.NextBounded(static_cast<uint64_t>(valid)));
-      for (int a = 0; a < num_actions_; ++a) {
-        if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-        if (pick-- == 0) {
-          chosen = a;
-          break;
-        }
-      }
-    } else {
-      const float* q = batch_q_.Row(static_cast<int>(i));
-      float best = -1e30f;
-      for (int a = 0; a < num_actions_; ++a) {
-        if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-        if (q[a] > best) {
-          best = q[a];
-          chosen = a;
-        }
-      }
-    }
+    const int chosen = EpsilonGreedyPick(
+        mask_scratch_, batch_q_.Row(static_cast<int>(i)), epsilon, rng_);
     FM_CHECK(chosen >= 0);
     actions->push_back(space_->Materialize(obs.region, chosen));
   }
@@ -135,8 +111,8 @@ Status DqnPolicy::RestoreState(BinaryReader* in) {
                       ReadNetLike(in, *target_net_, "target network"));
   Adam optimizer = *optimizer_;
   FM_RETURN_IF_ERROR(optimizer.RestoreState(in));
-  ReplayBuffer replay(replay_.capacity());
-  FM_RETURN_IF_ERROR(replay.RestoreState(in, features_.dim(), num_actions_));
+  ReplayBuffer replay(replay_.capacity(), features_.dim(), num_actions_);
+  FM_RETURN_IF_ERROR(replay.RestoreState(in));
   Rng rng = rng_;
   FM_RETURN_IF_ERROR(ReadRngState(in, &rng));
   int64_t learn_batches = 0, grad_steps = 0;
@@ -157,11 +133,7 @@ Status DqnPolicy::RestoreState(BinaryReader* in) {
 
 void DqnPolicy::Learn(const std::vector<Transition>& transitions) {
   if (!training_) return;
-  for (const Transition& t : transitions) {
-    FM_CHECK(static_cast<int>(t.state.size()) == features_.dim())
-        << "DQN transition carries foreign features";
-    replay_.Add(t);
-  }
+  for (const Transition& t : transitions) replay_.Add(t);
   ++learn_batches_;
   if (replay_.size() < options_.min_replay) return;
   for (int u = 0; u < options_.updates_per_learn; ++u) GradientStep();
@@ -169,26 +141,17 @@ void DqnPolicy::Learn(const std::vector<Transition>& transitions) {
 
 void DqnPolicy::GradientStep() {
   replay_.Sample(static_cast<size_t>(options_.minibatch), rng_, &sample_);
+  const TransitionStore& rows = replay_.rows();
   const int n = static_cast<int>(sample_.size());
   const int dim = features_.dim();
 
-  // Resize zero-fills (keeping capacity): terminal rows of next_x_ stay 0.
-  x_.Resize(n, dim);
-  next_x_.Resize(n, dim);
+  // Gather the sampled rows; a terminal row's next state is zeros.
+  x_.ResizeForOverwrite(n, dim);
+  next_x_.ResizeForOverwrite(n, dim);
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *sample_[static_cast<size_t>(i)];
-    // Learn checks `state` only, so a misfit next_state or action can reach
-    // the ring; it must not reach these fixed-width rows.
-    FM_CHECK(static_cast<int>(t.state.size()) == dim &&
-             (t.terminal || static_cast<int>(t.next_state.size()) == dim))
-        << "DQN transition carries foreign features";
-    FM_CHECK(t.action_index >= 0 && t.action_index < num_actions_)
-        << "DQN transition action " << t.action_index << " outside [0, "
-        << num_actions_ << ")";
-    std::copy(t.state.begin(), t.state.end(), x_.Row(i));
-    if (!t.terminal) {
-      std::copy(t.next_state.begin(), t.next_state.end(), next_x_.Row(i));
-    }
+    const int row = sample_[static_cast<size_t>(i)];
+    std::copy_n(rows.states().Row(row), dim, x_.Row(i));
+    std::copy_n(rows.next_states().Row(row), dim, next_x_.Row(i));
   }
 
   // Targets: y = r + gamma^k * max_{a' valid} Q_target(s', a'); Double DQN
@@ -199,29 +162,16 @@ void DqnPolicy::GradientStep() {
   }
   targets_.resize(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *sample_[static_cast<size_t>(i)];
+    const TransitionScalars& t = rows.scalars(sample_[static_cast<size_t>(i)]);
     double y = t.reward;
     if (!t.terminal) {
       space_->Mask(t.next_region, t.next_must_charge, t.next_may_charge,
                    &mask_scratch_);
-      float best = -1e30f;
-      if (options_.double_dqn) {
-        int argmax = -1;
-        float best_online = -1e30f;
-        for (int a = 0; a < num_actions_; ++a) {
-          if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          if (next_q_online_.At(i, a) > best_online) {
-            best_online = next_q_online_.At(i, a);
-            argmax = a;
-          }
-        }
-        best = next_q_.At(i, argmax);
-      } else {
-        for (int a = 0; a < num_actions_; ++a) {
-          if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-          best = std::max(best, next_q_.At(i, a));
-        }
-      }
+      const float best =
+          options_.double_dqn
+              ? next_q_.At(i, MaskedArgmax(mask_scratch_,
+                                           next_q_online_.Row(i)))
+              : MaskedMax(mask_scratch_, next_q_.Row(i));
       y += t.discount * best;
     }
     targets_[static_cast<size_t>(i)] = static_cast<float>(y);
@@ -233,7 +183,7 @@ void DqnPolicy::GradientStep() {
   const Matrix& q = q_net_->Output(tape_);
   grad_.Resize(n, num_actions_);
   for (int i = 0; i < n; ++i) {
-    const Transition& t = *sample_[static_cast<size_t>(i)];
+    const TransitionScalars& t = rows.scalars(sample_[static_cast<size_t>(i)]);
     const float diff =
         q.At(i, t.action_index) - targets_[static_cast<size_t>(i)];
     grad_.At(i, t.action_index) = 2.0f * diff / static_cast<float>(n);

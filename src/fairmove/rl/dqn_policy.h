@@ -105,7 +105,7 @@ class DqnPolicy : public DisplacementPolicy {
   // Training scratch reused across GradientStep() calls: once the
   // minibatch size is stable, a gradient step allocates nothing (pinned by
   // sim_alloc_test). One workspace serves the target pass and backprop.
-  std::vector<const Transition*> sample_;
+  std::vector<int> sample_;
   Matrix x_;
   Matrix next_x_;
   Matrix next_q_;

@@ -25,7 +25,8 @@ TbaPolicy::TbaPolicy(const Simulator& sim, Options options)
       space_(&sim.action_space()),
       feature_dim_(kTbaFeatureDim),
       num_actions_(sim.action_space().size()),
-      rng_(options.seed) {
+      rng_(options.seed),
+      batch_(feature_dim_, num_actions_) {
   std::vector<int> sizes;
   sizes.push_back(feature_dim_);
   for (int h : options_.hidden) sizes.push_back(h);
@@ -41,13 +42,7 @@ TbaPolicy::TbaPolicy(const Simulator& sim, Options options)
 }
 
 void TbaPolicy::LocalFeatures(const Simulator& sim, const TaxiObs& obs,
-                              std::vector<float>* out) const {
-  out->resize(static_cast<size_t>(feature_dim_));
-  LocalFeaturesInto(sim, obs, out->data());
-}
-
-void TbaPolicy::LocalFeaturesInto(const Simulator& sim, const TaxiObs& obs,
-                                  float* out) const {
+                              float* out) const {
   float* const begin = out;
   const auto push = [&out](float v) { *out++ = v; };
   const double phase =
@@ -82,7 +77,7 @@ void TbaPolicy::DecideActions(const Simulator& sim,
   // per-taxi RNG order as the former Forward1 loop.
   batch_x_.Resize(static_cast<int>(vacant.size()), feature_dim_);
   for (size_t i = 0; i < vacant.size(); ++i) {
-    LocalFeaturesInto(sim, vacant[i], batch_x_.Row(static_cast<int>(i)));
+    LocalFeatures(sim, vacant[i], batch_x_.Row(static_cast<int>(i)));
   }
   net_->Forward(batch_x_, &batch_logits_, &GlobalPool(), &forward_ws_);
   for (size_t i = 0; i < vacant.size(); ++i) {
@@ -107,8 +102,8 @@ Status TbaPolicy::SaveState(BinaryWriter* out) const {
   WriteRngState(rng_, out);
   out->WriteF64(baseline_);
   out->WriteBool(baseline_init_);
-  out->WriteU64(buffer_.size());
-  WriteTransitions(buffer_, out);
+  out->WriteU64(static_cast<uint64_t>(batch_.size()));
+  batch_.Write(out);
   return Status::OK();
 }
 
@@ -131,44 +126,35 @@ Status TbaPolicy::RestoreState(BinaryReader* in) {
   }
   uint64_t buffered = 0;
   FM_RETURN_IF_ERROR(in->ReadU64(&buffered));
-  std::vector<Transition> buffer;
-  FM_RETURN_IF_ERROR(
-      ReadTransitions(in, buffered, feature_dim_, num_actions_, &buffer));
+  TransitionStore batch(feature_dim_, num_actions_);
+  FM_RETURN_IF_ERROR(batch.Read(in, buffered));
   *net_ = std::move(net);
   *optimizer_ = std::move(optimizer);
   rng_ = rng;
   baseline_ = baseline;
   baseline_init_ = baseline_init;
-  buffer_ = std::move(buffer);
+  batch_ = std::move(batch);
   return Status::OK();
 }
 
 void TbaPolicy::Learn(const std::vector<Transition>& transitions) {
   if (!training_ || transitions.empty()) return;
-  buffer_.insert(buffer_.end(), transitions.begin(), transitions.end());
-  if (buffer_.size() < options_.batch_size) return;
-  Update(buffer_);
-  buffer_.clear();
+  for (const Transition& t : transitions) batch_.Append(t);
+  if (static_cast<size_t>(batch_.size()) < options_.batch_size) return;
+  Update(batch_);
+  batch_.Clear();
 }
 
-void TbaPolicy::Update(const std::vector<Transition>& transitions) {
+void TbaPolicy::Update(const TransitionStore& batch) {
   // REINFORCE with a moving-average baseline on the *own-profit* reward.
-  const int batch = static_cast<int>(transitions.size());
-  x_.ResizeForOverwrite(batch, feature_dim_);
-  for (int i = 0; i < batch; ++i) {
-    FM_CHECK(static_cast<int>(transitions[static_cast<size_t>(i)].state
-                                  .size()) == feature_dim_)
-        << "TBA transition carries foreign features";
-    std::copy(transitions[static_cast<size_t>(i)].state.begin(),
-              transitions[static_cast<size_t>(i)].state.end(), x_.Row(i));
-  }
-  net_->ForwardTape(x_, &tape_);
+  const int n = batch.size();
+  net_->ForwardTape(batch.states(), &tape_);
   const Matrix& logits = net_->Output(tape_);
 
   // Every entry of grad_ is written below, masked actions with 0.
-  grad_.ResizeForOverwrite(batch, num_actions_);
-  for (int i = 0; i < batch; ++i) {
-    const Transition& t = transitions[static_cast<size_t>(i)];
+  grad_.ResizeForOverwrite(n, num_actions_);
+  for (int i = 0; i < n; ++i) {
+    const TransitionScalars& t = batch.scalars(i);
     if (!baseline_init_) {
       baseline_ = t.reward_own;
       baseline_init_ = true;
@@ -201,7 +187,7 @@ void TbaPolicy::Update(const std::vector<Transition>& transitions) {
       if (p > 0.0) {
         g += options_.entropy_bonus * p * (std::log(p) + entropy);
       }
-      grad_.At(i, a) = static_cast<float>(g / batch);
+      grad_.At(i, a) = static_cast<float>(g / n);
     }
   }
 

@@ -7,6 +7,7 @@
 #include "fairmove/common/rng.h"
 #include "fairmove/nn/adam.h"
 #include "fairmove/nn/mlp.h"
+#include "fairmove/rl/replay_buffer.h"
 #include "fairmove/sim/policy.h"
 
 namespace fairmove {
@@ -44,8 +45,9 @@ class TbaPolicy : public DisplacementPolicy {
   void SetTraining(bool training) override { training_ = training; }
   bool WantsTransitions() const override { return true; }
   void Learn(const std::vector<Transition>& transitions) override;
-  /// One REINFORCE update over `transitions` (exposed for tests).
-  void Update(const std::vector<Transition>& transitions);
+  /// One REINFORCE update over every row of `batch`, a store of this
+  /// policy's width and action count (exposed for tests).
+  void Update(const TransitionStore& batch);
   const std::vector<std::vector<float>>* LastFeatures() const override {
     return &last_features_;
   }
@@ -59,14 +61,11 @@ class TbaPolicy : public DisplacementPolicy {
   Status SaveState(BinaryWriter* out) const override;
   Status RestoreState(BinaryReader* in) override;
 
-  /// Own-state-only featurisation (exposed for tests).
+  /// Own-state-only featurisation: writes feature_dim() features at `out`.
   void LocalFeatures(const Simulator& sim, const TaxiObs& obs,
-                     std::vector<float>* out) const;
+                     float* out) const;
 
  private:
-  /// Writes exactly feature_dim() features at `out` (batched row writer).
-  void LocalFeaturesInto(const Simulator& sim, const TaxiObs& obs,
-                         float* out) const;
 
   Options options_;
   const ActionSpace* space_;  // owned by the simulator; must outlive us
@@ -76,7 +75,7 @@ class TbaPolicy : public DisplacementPolicy {
   std::unique_ptr<Adam> optimizer_;
   Rng rng_;
   bool training_ = true;
-  std::vector<Transition> buffer_;
+  TransitionStore batch_;  // fills across Learn calls up to batch_size
   double baseline_ = 0.0;
   bool baseline_init_ = false;
   std::vector<std::vector<float>> last_features_;
@@ -88,7 +87,6 @@ class TbaPolicy : public DisplacementPolicy {
   Mlp::ShardedWorkspace forward_ws_;
   // Training scratch reused across Update() calls: once the batch size is
   // stable, an update allocates nothing (pinned by sim_alloc_test).
-  Matrix x_;
   Matrix grad_;
   std::vector<float> probs_;
   Mlp::Gradients grads_;

@@ -8,6 +8,7 @@
 
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
+#include "fairmove/rl/epsilon_greedy.h"
 #include "fairmove/sim/simulator.h"
 
 namespace fairmove {
@@ -58,11 +59,8 @@ float TqlPolicy::Q(int hour, RegionId region, int soc_bucket,
 }
 
 double TqlPolicy::CurrentEpsilon() const {
-  const double frac =
-      std::min(1.0, static_cast<double>(learn_batches_) /
-                        std::max(1, options_.epsilon_decay_batches));
-  return options_.epsilon_start +
-         frac * (options_.epsilon_end - options_.epsilon_start);
+  return AnnealedEpsilon(options_.epsilon_start, options_.epsilon_end,
+                         options_.epsilon_decay_batches, learn_batches_);
 }
 
 void TqlPolicy::DecideActions(const Simulator& sim,
@@ -75,33 +73,10 @@ void TqlPolicy::DecideActions(const Simulator& sim,
   actions->reserve(vacant.size());
   for (const TaxiObs& obs : vacant) {
     space.Mask(obs.region, obs.must_charge, obs.may_charge, &mask_scratch_);
-    int chosen = -1;
-    if (rng_.NextDouble() < epsilon) {
-      // Uniform over valid actions.
-      int valid = 0;
-      for (bool b : mask_scratch_) valid += b ? 1 : 0;
-      int pick = static_cast<int>(rng_.NextBounded(
-          static_cast<uint64_t>(valid)));
-      for (int a = 0; a < space.size(); ++a) {
-        if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-        if (pick-- == 0) {
-          chosen = a;
-          break;
-        }
-      }
-    } else {
-      const size_t base = StateOffset(
-          hour, obs.region, SocBucket(obs.must_charge, obs.may_charge));
-      float best = -1e30f;
-      for (int a = 0; a < space.size(); ++a) {
-        if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-        const float q = table_[base + static_cast<size_t>(a)];
-        if (q > best) {
-          best = q;
-          chosen = a;
-        }
-      }
-    }
+    const size_t base = StateOffset(
+        hour, obs.region, SocBucket(obs.must_charge, obs.may_charge));
+    const int chosen =
+        EpsilonGreedyPick(mask_scratch_, &table_[base], epsilon, rng_);
     FM_CHECK(chosen >= 0) << "no valid action in region " << obs.region;
     actions->push_back(space.Materialize(obs.region, chosen));
   }
@@ -199,12 +174,7 @@ void TqlPolicy::Learn(const std::vector<Transition>& transitions) {
       // only (invalid, never-updated slots would leak optimistic zeros).
       space_->Mask(t.next_region, t.next_must_charge, t.next_may_charge,
                    &mask_scratch_);
-      float best = -1e30f;
-      for (int a = 0; a < num_actions_; ++a) {
-        if (!mask_scratch_[static_cast<size_t>(a)]) continue;
-        best = std::max(best, table_[next_base + static_cast<size_t>(a)]);
-      }
-      target += t.discount * best;
+      target += t.discount * MaskedMax(mask_scratch_, &table_[next_base]);
     }
     q += static_cast<float>(options_.learning_rate * (target - q));
   }

@@ -16,7 +16,6 @@ class TqlPolicy : public DisplacementPolicy {
  public:
   struct Options {
     double learning_rate = 0.1;
-    double gamma = 0.9;
     double epsilon_start = 0.5;
     double epsilon_end = 0.05;
     /// Learn() calls over which epsilon anneals linearly.

@@ -43,25 +43,6 @@ double ConsumeKm(const BatteryConfig& config, double* soc, double km) {
   return driven;
 }
 
-double ChargeFor(const BatteryConfig& config, double* soc, double minutes,
-                 double power_scale) {
-  FM_CHECK(minutes >= 0.0);
-  FM_CHECK(power_scale > 0.0);
-  double added = 0.0;
-  double remaining = minutes;
-  // 1-minute integration steps: accurate enough for a 10-minute slot and
-  // keeps charging deterministic and O(minutes).
-  while (remaining > 0.0 && *soc < 1.0) {
-    const double dt_min = std::min(1.0, remaining);
-    const double kwh = power_scale * PowerKwAt(config, *soc) * dt_min / 60.0;
-    const double capped = std::min(kwh, (1.0 - *soc) * config.capacity_kwh);
-    *soc += capped / config.capacity_kwh;
-    added += capped;
-    remaining -= dt_min;
-  }
-  return added;
-}
-
 double ChargeToward(const BatteryConfig& config, double* soc,
                     double target_soc, double cap_minutes,
                     double power_scale, double* minutes_used) {
@@ -69,10 +50,9 @@ double ChargeToward(const BatteryConfig& config, double* soc,
   FM_CHECK(power_scale > 0.0);
   double added = 0.0;
   double minutes = 0.0;
-  // ChargeFor's integration step, stopping as soon as the target is
-  // reached: one pass does the work MinutesToReach + ChargeFor used to do
-  // in two. Below the taper knee the power is constant, so whole minutes
-  // there are batched into one closed-form jump instead of stepping.
+  // 1-minute integration steps, stopping as soon as the target is reached.
+  // Below the taper knee the power is constant, so whole minutes there are
+  // batched into one closed-form jump instead of stepping.
   while (minutes < cap_minutes && *soc < target_soc && *soc < 1.0) {
     const double bound = std::min(target_soc, config.taper_soc);
     const double whole = std::floor(cap_minutes - minutes);
@@ -102,51 +82,6 @@ double ChargeToward(const BatteryConfig& config, double* soc,
   return added;
 }
 
-double MinutesToReach(const BatteryConfig& config, double soc,
-                      double target_soc, double power_scale,
-                      double cap_minutes) {
-  FM_CHECK(target_soc >= 0.0 && target_soc <= 1.0);
-  FM_CHECK(power_scale > 0.0);
-  if (target_soc <= soc) return 0.0;
-  // Mirror ChargeFor's integration so the two agree.
-  double minutes = 0.0;
-  while (soc < target_soc && minutes < cap_minutes) {
-    const double kw = power_scale * PowerKwAt(config, soc);
-    if (kw <= 0.0) break;
-    const double kwh = kw / 60.0;
-    soc += kwh / config.capacity_kwh;
-    minutes += 1.0;
-  }
-  return minutes;
-}
-
 }  // namespace battery_math
-
-Battery::Battery(const BatteryConfig& config, double initial_soc)
-    : config_(config), soc_(initial_soc) {
-  FM_CHECK(config.Validate().ok()) << config.Validate();
-  FM_CHECK(initial_soc >= 0.0 && initial_soc <= 1.0)
-      << "initial_soc=" << initial_soc;
-}
-
-double Battery::ConsumeKm(double km) {
-  return battery_math::ConsumeKm(config_, &soc_, km);
-}
-
-double Battery::PowerKwAt(double soc) const {
-  return battery_math::PowerKwAt(config_, soc);
-}
-
-double Battery::ChargeFor(double minutes, double power_scale) {
-  return battery_math::ChargeFor(config_, &soc_, minutes, power_scale);
-}
-
-double Battery::MinutesToReach(double target_soc,
-                               double power_scale) const {
-  // The historical safety bound: never integrate more than a day. The old
-  // loop broke one step past 24h, so the cap is 24h + 1 min.
-  return battery_math::MinutesToReach(config_, soc_, target_soc, power_scale,
-                                      24.0 * 60.0 + 1.0);
-}
 
 }  // namespace fairmove

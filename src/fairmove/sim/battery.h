@@ -22,88 +22,30 @@ struct BatteryConfig {
   Status Validate() const;
 };
 
-/// Core SoC arithmetic, shared verbatim by the Battery wrapper below and
-/// FleetState's SoA SoC column so the two views are bit-identical.
+/// SoC arithmetic on one pack's state of charge, as FleetState's SoC
+/// column applies it.
 namespace battery_math {
 
+/// Charging power at `soc`: `max_charge_kw` below `taper_soc`, then a
+/// linear taper toward `min_charge_kw` as the pack fills, and 0 once full.
+/// The taper is what stretches top-ups into the 45-120 min sessions the
+/// paper reports in Fig 3.
 double PowerKwAt(const BatteryConfig& config, double soc);
 
 /// Drains `*soc` by `km` of driving; returns the km actually covered
 /// before the pack hit empty.
 double ConsumeKm(const BatteryConfig& config, double* soc, double km);
 
-/// Charges `*soc` for `minutes` at the plug (1-minute numeric integration
-/// of the power curve); returns kWh absorbed.
-double ChargeFor(const BatteryConfig& config, double* soc, double minutes,
-                 double power_scale);
-
-/// Fused per-slot charging step: advances `*soc` toward `target_soc` for
-/// at most `cap_minutes` using ChargeFor's exact integration, stopping at
-/// the first whole minute where the target is reached. Returns kWh
-/// absorbed and writes the minutes spent to `*minutes_used` — one
-/// integration pass where a MinutesToReach + ChargeFor pair would walk the
-/// same minutes twice.
+/// Per-slot charging step: advances `*soc` toward `target_soc` for at most
+/// `cap_minutes` at the plug (1-minute numeric integration of the power
+/// curve, `power_scale` derating it), stopping at the first whole minute
+/// where the target is reached and never past full. Returns kWh absorbed
+/// and writes the minutes spent to `*minutes_used`.
 double ChargeToward(const BatteryConfig& config, double* soc,
                     double target_soc, double cap_minutes,
                     double power_scale, double* minutes_used);
 
-/// Whole minutes at the plug needed to lift `soc` to `target_soc`,
-/// integrating at most `cap_minutes` (the loop exits as soon as the cap is
-/// reached, so a per-slot caller pays O(slot) instead of O(session)). For
-/// any cap, the result equals min(cap, uncapped minutes) bit-for-bit
-/// because the integration is a pure prefix.
-double MinutesToReach(const BatteryConfig& config, double soc,
-                      double target_soc, double power_scale,
-                      double cap_minutes);
-
 }  // namespace battery_math
-
-/// Battery state of one e-taxi. SoC is kept in [0, 1]; drains with
-/// driven km and refills through ChargeFor with a CC/taper power curve —
-/// the curve is what stretches top-ups into the 45–120 min sessions the
-/// paper reports in Fig 3.
-class Battery {
- public:
-  /// CHECK-fails on invalid config (validate at the config boundary).
-  Battery(const BatteryConfig& config, double initial_soc);
-
-  double soc() const { return soc_; }
-  double kwh() const { return soc_ * config_.capacity_kwh; }
-  bool empty() const { return soc_ <= 0.0; }
-
-  /// Driving range remaining at nominal consumption.
-  double RangeKm() const {
-    return kwh() / config_.consumption_kwh_per_km;
-  }
-
-  /// Energy needed to drive `km`.
-  double KwhForKm(double km) const {
-    return km * config_.consumption_kwh_per_km;
-  }
-
-  /// Drains the battery by `km` of driving; returns the km actually covered
-  /// before the pack hit empty (== km unless the taxi stranded).
-  double ConsumeKm(double km);
-
-  /// Charges for `minutes` at the plug. Returns kWh absorbed (0 when
-  /// already full). Uses 1-minute numeric integration of the power curve.
-  /// `power_scale` derates the plug (a 0.5 plug charges at half power —
-  /// stations have a share of slower points).
-  double ChargeFor(double minutes, double power_scale = 1.0);
-
-  /// Minutes at the plug needed to reach `target_soc` (0 when already
-  /// there) at the given plug derating.
-  double MinutesToReach(double target_soc, double power_scale = 1.0) const;
-
-  /// Instantaneous charging power at the current SoC.
-  double PowerKwAt(double soc) const;
-
-  const BatteryConfig& config() const { return config_; }
-
- private:
-  BatteryConfig config_;
-  double soc_;
-};
 
 }  // namespace fairmove
 

@@ -119,8 +119,7 @@ class FleetState {
   /// Materialises the classic per-taxi accounting view from the columns.
   TaxiTotals Totals(TaxiId i) const;
 
-  // --- Battery column ops (same arithmetic as class Battery, via
-  // battery_math, so AoS and SoA packs stay bit-identical) ---------------
+  // --- Battery column ops (battery_math on the SoC column) -------------
   double kwh(TaxiId i) const {
     return soc[static_cast<size_t>(i)] * battery_.capacity_kwh;
   }
@@ -131,20 +130,8 @@ class FleetState {
   double ConsumeKm(TaxiId i, double km) {
     return battery_math::ConsumeKm(battery_, &soc[static_cast<size_t>(i)], km);
   }
-  /// Charges taxi `i` for `minutes`; returns kWh absorbed.
-  double ChargeFor(TaxiId i, double minutes, double power_scale) {
-    return battery_math::ChargeFor(battery_, &soc[static_cast<size_t>(i)],
-                                   minutes, power_scale);
-  }
-  /// Minutes needed to reach `target_soc`, integrating at most
-  /// `cap_minutes` (a per-slot caller pays O(slot), not O(session)).
-  double MinutesToReachCapped(TaxiId i, double target_soc, double power_scale,
-                              double cap_minutes) const {
-    return battery_math::MinutesToReach(battery_, soc[static_cast<size_t>(i)],
-                                        target_soc, power_scale, cap_minutes);
-  }
-  /// Fused per-slot charge step: advances taxi `i` toward `target_soc` for
-  /// at most `cap_minutes`; returns kWh absorbed, writes minutes spent.
+  /// Per-slot charge step: advances taxi `i` toward `target_soc` for at
+  /// most `cap_minutes`; returns kWh absorbed, writes minutes spent.
   double ChargeToward(TaxiId i, double target_soc, double cap_minutes,
                       double power_scale, double* minutes_used) {
     return battery_math::ChargeToward(battery_, &soc[static_cast<size_t>(i)],

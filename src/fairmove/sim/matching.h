@@ -10,12 +10,10 @@
 
 namespace fairmove {
 
-/// One passenger request waiting in a region. `dest` is drawn lazily by the
-/// server at pickup time (see MatchingEngine), so a popped request carries
-/// kInvalidRegion until the serving site fills it in.
+/// One passenger request waiting in a region. It has no destination: the
+/// server draws one at pickup time (see MatchingEngine).
 struct Request {
   RegionId origin = kInvalidRegion;
-  RegionId dest = kInvalidRegion;
   int64_t created_slot = 0;
 };
 
@@ -59,8 +57,8 @@ class MatchingEngine {
   }
 
   /// Pops the oldest request of `region`; CHECK-fails when empty. The
-  /// returned request has `dest == kInvalidRegion` — the caller draws the
-  /// destination from the region's demand distribution at serve time.
+  /// caller draws the destination from the region's demand distribution at
+  /// serve time.
   Request PopOldest(RegionId region);
 
   /// Drops requests older than the patience window; returns how many

@@ -55,30 +55,37 @@ class DisplacementPolicy {
   /// while training.
   virtual void SetTraining(bool training) { (void)training; }
 
-  /// One closed semi-MDP transition of one agent (emitted by the Trainer).
-  struct Transition {
-    std::vector<float> state;
-    int action_index = 0;
+  /// The scalar fields of one closed semi-MDP transition: all of it but
+  /// the two feature vectors. Learning policies keep these beside the
+  /// feature rows of their TransitionStore (rl/replay_buffer.h).
+  struct TransitionScalars {
     /// Discounted accumulated reward (Eq 5: alpha-weighted PE + fairness)
     /// between this decision and the next.
     double reward = 0.0;
     /// Same accumulation but of the agent's own profit only (alpha = 1);
     /// used by the purely competitive TBA baseline.
     double reward_own = 0.0;
-    std::vector<float> next_state;
     /// gamma^k where k is the number of slots until the next decision.
     double discount = 1.0;
-    /// True when the episode ended before the agent decided again.
-    bool terminal = false;
+    int action_index = 0;
     // Discrete context (used by the tabular baseline).
     RegionId region = kInvalidRegion;       // region at decision time
     RegionId next_region = kInvalidRegion;  // region at next decision
     int slot_of_day = 0;
     int next_slot_of_day = 0;
+    /// True when the episode ended before the agent decided again.
+    bool terminal = false;
     bool must_charge = false;
     bool may_charge = false;
     bool next_must_charge = false;
     bool next_may_charge = false;
+  };
+
+  /// One closed semi-MDP transition of one agent (emitted by the Trainer).
+  struct Transition : TransitionScalars {
+    std::vector<float> state;
+    /// Empty when terminal.
+    std::vector<float> next_state;
   };
 
   /// Feeds a batch of closed transitions; learning policies update here.

@@ -152,13 +152,19 @@ void Simulator::Reset(uint64_t seed_override) {
   fleet_mean_pe_ = 0.0;
   fleet_pe_variance_ = 0.0;
 
-  stations_.clear();
-  stations_.reserve(static_cast<size_t>(city_->num_stations()));
+  // Station queues are cleared in place, so their waiting lines keep the
+  // capacity earlier episodes grew (the zero-allocation step contract
+  // holds across Reset).
+  if (stations_.empty()) {
+    stations_.reserve(static_cast<size_t>(city_->num_stations()));
+    for (const ChargingStation& st : city_->stations()) {
+      stations_.emplace_back(st.num_points);
+    }
+  }
   applied_points_.clear();
-  applied_points_.reserve(static_cast<size_t>(city_->num_stations()));
-  for (const ChargingStation& st : city_->stations()) {
-    stations_.emplace_back(st.num_points);
-    applied_points_.push_back(st.num_points);
+  for (StationQueue& station : stations_) {
+    station.Clear();
+    applied_points_.push_back(station.num_points());
   }
 
   // Initial taxi placement follows the daily demand share of each region,
@@ -657,10 +663,8 @@ void Simulator::ChargeShard(int shard) {
     const TaxiId id = roster[i];
     const size_t k = static_cast<size_t>(id);
     TaxiCold& cold = fleet_.cold[k];
-    // One fused integration pass per slot: advances the pack toward the
-    // session target and reports the whole minutes it took, instead of a
-    // MinutesToReach probe followed by a ChargeFor that re-walks the same
-    // minutes.
+    // One integration pass per slot: advances the pack toward the session
+    // target and reports the whole minutes it took.
     double minutes = 0.0;
     const double added = fleet_.ChargeToward(
         id, cold.charge_target_soc, kMinutesPerSlot, cold.session_power_factor,
@@ -1013,13 +1017,11 @@ void Simulator::BeginServing(TaxiId taxi, const Request& request, Rng& rng,
                              double pickup_km) {
   const size_t k = static_cast<size_t>(taxi);
   TaxiCold& cold = fleet_.cold[k];
-  // Lazy destination: cohort-queued requests arrive without one (expired
-  // requests never consume a draw), so the trip's destination comes off
-  // the origin region's stream here, at pickup.
-  const RegionId dest = request.dest != kInvalidRegion
-                            ? request.dest
-                            : demand_->SampleDestination(request.origin,
-                                                         now_, rng);
+  // Lazy destination: cohort-queued requests carry none (expired requests
+  // never consume a draw), so the trip's destination comes off the origin
+  // region's stream here, at pickup.
+  const RegionId dest =
+      demand_->SampleDestination(request.origin, now_, rng);
   const double km = demand_->TripKm(request.origin, dest);
   double trip_min;
   if (request.origin == dest) {

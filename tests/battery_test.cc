@@ -5,6 +5,12 @@
 namespace fairmove {
 namespace {
 
+using battery_math::ChargeToward;
+using battery_math::ConsumeKm;
+using battery_math::PowerKwAt;
+
+constexpr double kDayMinutes = 24.0 * 60.0;
+
 TEST(BatteryConfigTest, DefaultIsBydE6) {
   const BatteryConfig cfg;
   EXPECT_DOUBLE_EQ(cfg.capacity_kwh, 80.0);
@@ -28,88 +34,122 @@ TEST(BatteryConfigTest, ValidateRejectsBadValues) {
 }
 
 TEST(BatteryTest, FullPackHas400KmRange) {
-  Battery b(BatteryConfig{}, 1.0);
-  EXPECT_DOUBLE_EQ(b.RangeKm(), 400.0);
-  EXPECT_DOUBLE_EQ(b.kwh(), 80.0);
-  EXPECT_FALSE(b.empty());
+  double soc = 1.0;
+  EXPECT_DOUBLE_EQ(ConsumeKm(BatteryConfig{}, &soc, 400.0), 400.0);
+  EXPECT_DOUBLE_EQ(soc, 0.0);
 }
 
 TEST(BatteryTest, ConsumeDrainsProportionally) {
-  Battery b(BatteryConfig{}, 1.0);
-  EXPECT_DOUBLE_EQ(b.ConsumeKm(100.0), 100.0);
-  EXPECT_NEAR(b.soc(), 0.75, 1e-12);
-  EXPECT_NEAR(b.RangeKm(), 300.0, 1e-9);
+  double soc = 1.0;
+  EXPECT_DOUBLE_EQ(ConsumeKm(BatteryConfig{}, &soc, 100.0), 100.0);
+  EXPECT_NEAR(soc, 0.75, 1e-12);
 }
 
 TEST(BatteryTest, ConsumeBeyondRangeStopsAtEmpty) {
-  Battery b(BatteryConfig{}, 0.1);  // 40 km range
-  const double driven = b.ConsumeKm(100.0);
-  EXPECT_NEAR(driven, 40.0, 1e-9);
-  EXPECT_TRUE(b.empty());
-  EXPECT_DOUBLE_EQ(b.ConsumeKm(10.0), 0.0);
+  double soc = 0.1;  // 40 km range
+  EXPECT_NEAR(ConsumeKm(BatteryConfig{}, &soc, 100.0), 40.0, 1e-9);
+  EXPECT_LE(soc, 0.0);
+  EXPECT_DOUBLE_EQ(ConsumeKm(BatteryConfig{}, &soc, 10.0), 0.0);
 }
 
 TEST(BatteryTest, ChargePowerConstantBelowTaper) {
-  Battery b(BatteryConfig{}, 0.2);
-  EXPECT_DOUBLE_EQ(b.PowerKwAt(0.2), b.config().max_charge_kw);
-  EXPECT_DOUBLE_EQ(b.PowerKwAt(0.79), b.config().max_charge_kw);
+  const BatteryConfig cfg;
+  EXPECT_DOUBLE_EQ(PowerKwAt(cfg, 0.2), cfg.max_charge_kw);
+  EXPECT_DOUBLE_EQ(PowerKwAt(cfg, 0.79), cfg.max_charge_kw);
 }
 
 TEST(BatteryTest, ChargePowerTapersAboveKnee) {
-  Battery b(BatteryConfig{}, 0.9);
-  const double p90 = b.PowerKwAt(0.9);
-  EXPECT_LT(p90, b.config().max_charge_kw);
-  EXPECT_GT(p90, b.config().min_charge_kw - 1e-9);
-  EXPECT_DOUBLE_EQ(b.PowerKwAt(1.0), 0.0);
+  const BatteryConfig cfg;
+  const double p90 = PowerKwAt(cfg, 0.9);
+  EXPECT_LT(p90, cfg.max_charge_kw);
+  EXPECT_GT(p90, cfg.min_charge_kw - 1e-9);
+  EXPECT_DOUBLE_EQ(PowerKwAt(cfg, 1.0), 0.0);
 }
 
+// Energy over a fixed time: with the target out of reach, ChargeToward
+// charges for the whole cap.
 TEST(BatteryTest, ChargeForAddsExpectedEnergy) {
-  Battery b(BatteryConfig{}, 0.2);
+  double soc = 0.2;
+  double minutes = 0.0;
   // 60 minutes at 40 kW (all below taper) = 40 kWh.
-  const double added = b.ChargeFor(60.0);
+  const double added =
+      ChargeToward(BatteryConfig{}, &soc, 1.0, 60.0, 1.0, &minutes);
   EXPECT_NEAR(added, 40.0, 0.5);
-  EXPECT_NEAR(b.soc(), 0.7, 0.01);
+  EXPECT_NEAR(soc, 0.7, 0.01);
+  EXPECT_DOUBLE_EQ(minutes, 60.0);
 }
 
+// No overshoot: charging stops in the minute that reaches the target, and
+// never passes a full pack.
 TEST(BatteryTest, ChargeForNeverOvershootsFull) {
-  Battery b(BatteryConfig{}, 0.99);
-  b.ChargeFor(600.0);
-  EXPECT_LE(b.soc(), 1.0 + 1e-12);
-  EXPECT_DOUBLE_EQ(b.ChargeFor(10.0), 0.0);
+  const BatteryConfig cfg;
+  const double one_minute = cfg.max_charge_kw / 60.0 / cfg.capacity_kwh;
+  double soc = 0.5;
+  double minutes = 0.0;
+  ChargeToward(cfg, &soc, 0.6, 600.0, 1.0, &minutes);
+  EXPECT_GE(soc, 0.6);
+  EXPECT_LT(soc, 0.6 + one_minute);
+  EXPECT_DOUBLE_EQ(minutes, 12.0);  // 8 kWh at 40 kW
+
+  soc = 0.99;
+  ChargeToward(cfg, &soc, 1.0, 600.0, 1.0, &minutes);
+  EXPECT_LE(soc, 1.0 + 1e-12);
+  EXPECT_DOUBLE_EQ(ChargeToward(cfg, &soc, 1.0, 10.0, 1.0, &minutes), 0.0);
 }
 
 TEST(BatteryTest, PowerScaleDeratesCharging) {
-  Battery fast(BatteryConfig{}, 0.2);
-  Battery slow(BatteryConfig{}, 0.2);
-  const double fast_added = fast.ChargeFor(30.0, 1.0);
-  const double slow_added = slow.ChargeFor(30.0, 0.5);
+  double fast = 0.2;
+  double slow = 0.2;
+  double minutes = 0.0;
+  const double fast_added =
+      ChargeToward(BatteryConfig{}, &fast, 1.0, 30.0, 1.0, &minutes);
+  const double slow_added =
+      ChargeToward(BatteryConfig{}, &slow, 1.0, 30.0, 0.5, &minutes);
   EXPECT_NEAR(slow_added, fast_added / 2.0, 0.3);
 }
 
-TEST(BatteryTest, MinutesToReachAgreesWithChargeFor) {
-  for (double start : {0.1, 0.2, 0.5, 0.75}) {
-    for (double target : {0.6, 0.85, 0.95, 1.0}) {
-      if (target <= start) continue;
-      Battery b(BatteryConfig{}, start);
-      const double minutes = b.MinutesToReach(target);
-      b.ChargeFor(minutes);
-      EXPECT_GE(b.soc(), target - 0.02)
-          << "start=" << start << " target=" << target;
-    }
-  }
+// Above the knee the same time buys less energy, and a session that
+// crosses the knee matches one that stops there and resumes.
+TEST(BatteryTest, ChargeTowardSlowsAboveTheTaperKnee) {
+  const BatteryConfig cfg;
+  double low = 0.2;
+  double high = 0.85;
+  double minutes = 0.0;
+  const double low_added = ChargeToward(cfg, &low, 1.0, 10.0, 1.0, &minutes);
+  const double high_added =
+      ChargeToward(cfg, &high, 1.0, 10.0, 1.0, &minutes);
+  EXPECT_LT(high_added, low_added);
+  EXPECT_GT(high_added, cfg.min_charge_kw * 10.0 / 60.0);
+
+  double through = 0.7;
+  double split = 0.7;
+  double first = 0.0, second = 0.0;
+  ChargeToward(cfg, &through, 0.95, kDayMinutes, 1.0, &minutes);
+  ChargeToward(cfg, &split, cfg.taper_soc, kDayMinutes, 1.0, &first);
+  ChargeToward(cfg, &split, 0.95, kDayMinutes, 1.0, &second);
+  EXPECT_NEAR(split, through, 0.01);
+  EXPECT_NEAR(first + second, minutes, 1.0);
 }
 
 TEST(BatteryTest, MinutesToReachZeroWhenAlreadyThere) {
-  Battery b(BatteryConfig{}, 0.9);
-  EXPECT_DOUBLE_EQ(b.MinutesToReach(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(b.MinutesToReach(0.9), 0.0);
+  double soc = 0.9;
+  double minutes = -1.0;
+  EXPECT_DOUBLE_EQ(
+      ChargeToward(BatteryConfig{}, &soc, 0.5, kDayMinutes, 1.0, &minutes),
+      0.0);
+  EXPECT_DOUBLE_EQ(minutes, 0.0);
+  ChargeToward(BatteryConfig{}, &soc, 0.9, kDayMinutes, 1.0, &minutes);
+  EXPECT_DOUBLE_EQ(minutes, 0.0);
+  EXPECT_DOUBLE_EQ(soc, 0.9);
 }
 
 TEST(BatteryTest, TypicalSessionMatchesPaperDurations) {
   // Forced charge at 20% to ~95% should land in the paper's dominant
   // 45-120 min band (Fig 3).
-  Battery b(BatteryConfig{}, 0.2);
-  const double minutes = b.MinutesToReach(0.95);
+  double soc = 0.2;
+  double minutes = 0.0;
+  ChargeToward(BatteryConfig{}, &soc, 0.95, kDayMinutes, 1.0, &minutes);
+  EXPECT_GE(soc, 0.95);
   EXPECT_GT(minutes, 45.0);
   EXPECT_LT(minutes, 120.0);
 }
@@ -118,15 +158,18 @@ class BatteryRoundTrip
     : public ::testing::TestWithParam<std::tuple<double, double>> {};
 
 TEST_P(BatteryRoundTrip, DriveChargeCycleConservesEnergyAccounting) {
+  const BatteryConfig cfg;
   const double initial = std::get<0>(GetParam());
   const double km = std::get<1>(GetParam());
-  Battery b(BatteryConfig{}, initial);
-  const double driven = b.ConsumeKm(km);
-  const double kwh_used = driven * b.config().consumption_kwh_per_km;
-  const double added = b.ChargeFor(b.MinutesToReach(initial));
+  double soc = initial;
+  const double driven = ConsumeKm(cfg, &soc, km);
+  const double kwh_used = driven * cfg.consumption_kwh_per_km;
+  double minutes = 0.0;
+  const double added =
+      ChargeToward(cfg, &soc, initial, kDayMinutes, 1.0, &minutes);
   // Energy put back ~= energy used (within the 1-minute integration step).
   EXPECT_NEAR(added, kwh_used, 1.0);
-  EXPECT_NEAR(b.soc(), initial, 0.02);
+  EXPECT_NEAR(soc, initial, 0.02);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -148,9 +148,9 @@ TEST(BinaryCodecTest, RejectsMalformedBool) {
   EXPECT_FALSE(r.ReadBool(&b).ok());
 }
 
-// A restored transition is later copied into a fixed-width batch row as it
-// stands, so ReadTransitions refuses one that does not fit the reading
-// policy, and appends nothing when it does.
+// A restored transition becomes a fixed-width row of the reading policy's
+// store as it stands, so TransitionStore::Read refuses one that does not fit
+// the store, and appends nothing when it does.
 TEST(BinaryCodecTest, ReadTransitionsRefusesMisfitsAndAppendsNothing) {
   DisplacementPolicy::Transition good;
   good.state.assign(5, 0.5f);
@@ -167,25 +167,66 @@ TEST(BinaryCodecTest, ReadTransitionsRefusesMisfitsAndAppendsNothing) {
   action_past_end.action_index = 3;
   DisplacementPolicy::Transition negative_action = good;
   negative_action.action_index = -1;
+  DisplacementPolicy::Transition terminal_with_next = good;
+  terminal_with_next.terminal = true;
 
   const auto read = [](const std::vector<DisplacementPolicy::Transition>& ts,
-                       std::vector<DisplacementPolicy::Transition>* out) {
+                       TransitionStore* out) {
     BinaryWriter w;
-    WriteTransitions(ts, &w);
+    for (const auto& t : ts) WriteTransition(t, &w);
     BinaryReader r(w.str());
-    return ReadTransitions(&r, ts.size(), /*state_dim=*/5,
-                           /*num_actions=*/3, out);
+    return out->Read(&r, ts.size());
   };
-  std::vector<DisplacementPolicy::Transition> out(1);
+  TransitionStore out(/*dim=*/5, /*num_actions=*/3);
+  out.Append(good);
   ASSERT_TRUE(read({good, terminal}, &out).ok());
-  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(out.size(), 3);
   for (const auto& bad : {short_state, long_next, action_past_end,
-                          negative_action}) {
+                          negative_action, terminal_with_next}) {
     const Status st = read({good, terminal, bad}, &out);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
     EXPECT_NE(st.message().find("transition 2"), std::string::npos) << st;
-    EXPECT_EQ(out.size(), 3u) << "a refused read appended transitions";
+    EXPECT_EQ(out.size(), 3) << "a refused read appended transitions";
   }
+}
+
+// The store keeps transitions as rows but writes each in WriteTransition's
+// encoding, a terminal one with an empty next_state, so the buffered
+// experience in CA21, DQN1 and TBA1 records keeps its bytes.
+TEST(BinaryCodecTest, TransitionStoreWritesTheTransitionEncoding) {
+  DisplacementPolicy::Transition open;
+  open.state = {0.5f, -1.0f, 2.0f};
+  open.next_state = {0.25f, 0.0f, -3.0f};
+  open.action_index = 1;
+  open.reward = 1.5;
+  open.reward_own = -0.5;
+  open.discount = 0.81;
+  open.region = 4;
+  open.next_region = 2;
+  open.slot_of_day = 17;
+  open.next_slot_of_day = 19;
+  open.may_charge = true;
+  open.next_must_charge = true;
+  DisplacementPolicy::Transition terminal = open;
+  terminal.terminal = true;
+  terminal.next_state.clear();
+  BinaryWriter expected;
+  for (const auto& t : {open, terminal, open}) WriteTransition(t, &expected);
+
+  TransitionStore rows(/*dim=*/3, /*num_actions=*/2);
+  for (const auto& t : {open, terminal, open}) rows.Append(t);
+  EXPECT_EQ(rows.next_states().At(1, 0), 0.0f) << "terminal row not zeroed";
+  BinaryWriter written;
+  rows.Write(&written);
+  EXPECT_TRUE(written.str() == expected.str());
+
+  TransitionStore read(/*dim=*/3, /*num_actions=*/2);
+  BinaryReader in(written.str());
+  ASSERT_TRUE(read.Read(&in, 3).ok());
+  EXPECT_TRUE(in.AtEnd());
+  BinaryWriter rewritten;
+  read.Write(&rewritten);
+  EXPECT_TRUE(rewritten.str() == expected.str());
 }
 
 // ------------------------------------------------------------- atomic file --
@@ -396,8 +437,9 @@ TEST(PolicyStateTest, Cma2cRoundTripsBitExact) {
 TEST(PolicyStateTest, Cma2cFullSizeUpdateIsLaneCountInvariant) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
-  const std::vector<DisplacementPolicy::Transition> batch =
-      SyntheticTransitions(system->sim(), 3501, /*seed=*/41);
+  const TransitionStore batch =
+      RowsOf(system->sim(), FeatureExtractor(&system->sim()).dim(),
+             SyntheticTransitions(system->sim(), 3501, /*seed=*/41));
   const int before = GlobalPool().num_threads();
   for (const simd::KernelTable* table : simd::CompiledTables()) {
     if (!simd::HostSupports(*table)) continue;
@@ -443,39 +485,57 @@ TEST(PolicyStateTest, TbaRoundTripsBitExact) {
   }, 3159, 0x5026E9ADu);
 }
 
-/// Buffers one transition that does not fit the policy (Learn only queues
-/// it), saves the state, and expects a fresh policy to refuse the restore
-/// with InvalidArgument instead of carrying the transition into the next
-/// update's batch matrix.
-template <typename MakePolicyFn>
-void ExpectMisfitTransitionRefused(
-    const Simulator& sim, MakePolicyFn make_policy,
-    const DisplacementPolicy::Transition& misfit, const char* what) {
-  auto policy = make_policy(sim);
-  policy->Learn({misfit});
-  const std::string bytes = StateBytes(*policy);
-  auto fresh = make_policy(sim);
-  BinaryReader in(bytes);
-  const Status st = fresh->RestoreState(&in);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << ": " << st;
-}
-
 /// A transition that fits a policy with `state_dim` features, then the
 /// misfits a checkpoint could carry: a short state, a 400-float next_state,
 /// and an action index one past the action space.
 struct Misfits {
-  DisplacementPolicy::Transition short_state, long_next_state, bad_action;
+  DisplacementPolicy::Transition fit, short_state, long_next_state,
+      bad_action;
 };
 
 Misfits MakeMisfits(const Simulator& sim, int state_dim) {
   DisplacementPolicy::Transition fit = SyntheticTransitions(sim, 2, 3)[1];
   fit.state.resize(static_cast<size_t>(state_dim), 0.25f);
   fit.next_state.resize(static_cast<size_t>(state_dim), 0.25f);
-  Misfits m{fit, fit, fit};
+  Misfits m{fit, fit, fit, fit};
   m.short_state.state.pop_back();
   m.long_next_state.next_state.assign(400, 1.0f);
   m.bad_action.action_index = sim.action_space().size();
   return m;
+}
+
+/// The record a checkpoint would carry had `misfit` been buffered: a policy
+/// that buffered `fit` (Learn only queues it) is saved, and the encoding of
+/// `fit` in the record is replaced by `misfit`'s. Learn itself refuses a
+/// misfit, so the codec is the only way one reaches a record.
+template <typename PolicyT>
+std::string RecordWithMisfit(PolicyT* source,
+                             const DisplacementPolicy::Transition& fit,
+                             const DisplacementPolicy::Transition& misfit) {
+  source->Learn({fit});
+  const std::string bytes = StateBytes(*source);
+  BinaryWriter fit_bytes, misfit_bytes;
+  WriteTransition(fit, &fit_bytes);
+  WriteTransition(misfit, &misfit_bytes);
+  const size_t at = bytes.find(fit_bytes.str());
+  EXPECT_NE(at, std::string::npos) << "the buffered transition is missing";
+  EXPECT_EQ(bytes.find(fit_bytes.str(), at + 1), std::string::npos);
+  return bytes.substr(0, at) + misfit_bytes.str() +
+         bytes.substr(at + fit_bytes.str().size());
+}
+
+/// Expects a fresh policy to refuse, with InvalidArgument, a record that
+/// buffers `misfit`, instead of carrying the transition into its store.
+template <typename MakePolicyFn>
+void ExpectMisfitTransitionRefused(
+    const Simulator& sim, MakePolicyFn make_policy, const Misfits& m,
+    const DisplacementPolicy::Transition& misfit, const char* what) {
+  auto source = make_policy(sim);
+  const std::string bytes = RecordWithMisfit(source.get(), m.fit, misfit);
+  auto fresh = make_policy(sim);
+  BinaryReader in(bytes);
+  const Status st = fresh->RestoreState(&in);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what << ": " << st;
 }
 
 TEST(PolicyStateTest, Cma2cRefusesMisfitTransitions) {
@@ -490,10 +550,12 @@ TEST(PolicyStateTest, Cma2cRefusesMisfitTransitions) {
   };
   const Misfits m =
       MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
-  ExpectMisfitTransitionRefused(system->sim(), make, m.short_state, "state");
-  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.short_state,
+                                "state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.long_next_state,
                                 "next_state");
-  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.bad_action,
+                                "action");
 }
 
 TEST(PolicyStateTest, TbaRefusesMisfitTransitions) {
@@ -507,14 +569,14 @@ TEST(PolicyStateTest, TbaRefusesMisfitTransitions) {
   };
   const Misfits m =
       MakeMisfits(system->sim(), make(system->sim())->feature_dim());
-  ExpectMisfitTransitionRefused(system->sim(), make, m.short_state, "state");
-  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.short_state,
+                                "state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.long_next_state,
                                 "next_state");
-  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.bad_action,
+                                "action");
 }
 
-// DQN's Learn already refuses a foreign state, so only the next_state and
-// the action can reach its replay ring unchecked.
 TEST(PolicyStateTest, DqnRefusesMisfitTransitions) {
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
@@ -527,31 +589,58 @@ TEST(PolicyStateTest, DqnRefusesMisfitTransitions) {
   };
   const Misfits m =
       MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
-  ExpectMisfitTransitionRefused(system->sim(), make, m.long_next_state,
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.short_state,
+                                "state");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.long_next_state,
                                 "next_state");
-  ExpectMisfitTransitionRefused(system->sim(), make, m.bad_action, "action");
+  ExpectMisfitTransitionRefused(system->sim(), make, m, m.bad_action,
+                                "action");
 }
 
-// Past the ring, a gradient step copies each sampled transition into
-// fixed-width rows and indexes the Q outputs by its action: a misfit dies
-// there instead of writing past them.
-TEST(PolicyStateDeathTest, DqnGradientStepRefusesMisfitTransitions) {
+// In process, a misfit dies where it would enter the policy's store, before
+// any update could read past a fixed-width row or index an action that is
+// not there; with min_replay = 1, DQN would sample it in the same Learn.
+TEST(PolicyStateDeathTest, LearnRefusesMisfitTransitions) {
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   auto system = std::move(FairMoveSystem::Create(cfg)).value();
-  const Misfits m =
-      MakeMisfits(system->sim(), FeatureExtractor(&system->sim()).dim());
-  const auto learn = [&](const DisplacementPolicy::Transition& misfit) {
-    DqnPolicy::Options opt;
-    opt.hidden = {8};
-    opt.replay_capacity = 16;
-    opt.min_replay = 1;  // the first Learn already samples it
-    opt.minibatch = 4;
-    DqnPolicy policy(system->sim(), opt);
-    policy.Learn({misfit});
+  const Simulator& sim = system->sim();
+  const auto learn = [&](const char* method,
+                         const DisplacementPolicy::Transition& misfit) {
+    std::unique_ptr<DisplacementPolicy> policy;
+    if (std::string(method) == "CMA2C") {
+      Cma2cPolicy::Options opt;
+      opt.actor_hidden = {8};
+      opt.critic_hidden = {8};
+      opt.batch_size = 1;
+      policy = std::make_unique<Cma2cPolicy>(sim, opt);
+    } else if (std::string(method) == "TBA") {
+      TbaPolicy::Options opt;
+      opt.hidden = {8};
+      opt.batch_size = 1;
+      policy = std::make_unique<TbaPolicy>(sim, opt);
+    } else {
+      DqnPolicy::Options opt;
+      opt.hidden = {8};
+      opt.replay_capacity = 16;
+      opt.min_replay = 1;
+      opt.minibatch = 4;
+      policy = std::make_unique<DqnPolicy>(sim, opt);
+    }
+    policy->Learn({misfit});
   };
-  EXPECT_DEATH(learn(m.long_next_state), "foreign features");
-  EXPECT_DEATH(learn(m.bad_action), "action [0-9]+ outside");
+  const Misfits wide = MakeMisfits(sim, FeatureExtractor(&sim).dim());
+  const Misfits local = MakeMisfits(sim, TbaPolicy(sim).feature_dim());
+  for (const char* method : {"CMA2C", "TBA", "DQN"}) {
+    const Misfits& m = std::string(method) == "TBA" ? local : wide;
+    EXPECT_DEATH(learn(method, m.short_state), "does not fit.*state has")
+        << method;
+    EXPECT_DEATH(learn(method, m.long_next_state),
+                 "does not fit.*next_state has 400 features")
+        << method;
+    EXPECT_DEATH(learn(method, m.bad_action), "action index [0-9]+ outside")
+        << method;
+  }
 }
 
 /// Restores `bytes` into `target`, expects a refusal, and expects target's
@@ -585,12 +674,12 @@ TEST(PolicyStateTest, RefusedCma2cRestoreChangesNothing) {
 
   Cma2cPolicy misfit_source(sim, other);
   misfit_source.EnableDivergenceGuard();
-  misfit_source.Learn({m.long_next_state});
   Cma2cPolicy guarded_target(sim, opt);
   guarded_target.EnableDivergenceGuard();
-  ExpectRefusedRestoreChangesNothing(&guarded_target,
-                                     StateBytes(misfit_source),
-                                     "CA21 with a misfit transition");
+  ExpectRefusedRestoreChangesNothing(
+      &guarded_target,
+      RecordWithMisfit(&misfit_source, m.fit, m.long_next_state),
+      "CA21 with a misfit transition");
 
   Cma2cPolicy guarded_source(sim, other);
   guarded_source.EnableDivergenceGuard();
@@ -616,10 +705,10 @@ TEST(PolicyStateTest, RefusedDqnRestoreChangesNothing) {
   const Misfits m = MakeMisfits(sim, FeatureExtractor(&sim).dim());
 
   DqnPolicy source(sim, other);
-  source.Learn({m.long_next_state});
   DqnPolicy target(sim, opt);
-  ExpectRefusedRestoreChangesNothing(&target, StateBytes(source),
-                                     "DQN1 with a misfit replay entry");
+  ExpectRefusedRestoreChangesNothing(
+      &target, RecordWithMisfit(&source, m.fit, m.long_next_state),
+      "DQN1 with a misfit replay entry");
   DqnPolicy clean_source(sim, other);
   const std::string bytes = StateBytes(clean_source);
   ExpectRefusedRestoreChangesNothing(&target,
@@ -640,9 +729,9 @@ TEST(PolicyStateTest, RefusedTbaRestoreChangesNothing) {
   const Misfits m = MakeMisfits(sim, target.feature_dim());
 
   TbaPolicy source(sim, other);
-  source.Learn({m.long_next_state});
-  ExpectRefusedRestoreChangesNothing(&target, StateBytes(source),
-                                     "TBA1 with a misfit transition");
+  ExpectRefusedRestoreChangesNothing(
+      &target, RecordWithMisfit(&source, m.fit, m.long_next_state),
+      "TBA1 with a misfit transition");
   TbaPolicy clean_source(sim, other);
   const std::string bytes = StateBytes(clean_source);
   ExpectRefusedRestoreChangesNothing(&target,

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "fairmove/common/config.h"
+#include "fairmove/common/parallel.h"
 #include "fairmove/common/status.h"
 #include "fairmove/common/time_types.h"
 #include "fairmove/obs/span.h"
+#include "fairmove/obs/telemetry.h"
+#include "fairmove/obs/watchdog.h"
 
 namespace fairmove {
 namespace {
@@ -177,8 +181,6 @@ class EnvOverridesTest : public ::testing::Test {
     unsetenv("FAIRMOVE_EPISODES");
     unsetenv("FAIRMOVE_SEED");
     unsetenv("FAIRMOVE_DAYS");
-    unsetenv("FAIRMOVE_THREADS");
-    unsetenv("FAIRMOVE_TELEMETRY");
   }
 };
 
@@ -235,28 +237,52 @@ TEST_F(EnvOverridesTest, RejectsNegativeSeed) {
   EXPECT_NE(s.ToString().find("FAIRMOVE_SEED"), std::string::npos);
 }
 
+// FAIRMOVE_THREADS, FAIRMOVE_TELEMETRY and FAIRMOVE_STALL_MS are parsed by
+// their owners, not by EnvOverrides (FAIRMOVE_METRICS_EXPORT too, by
+// ParseExportSpec, tested with the exporter); these are the values those
+// parsers accept and refuse. Unset is off (or the default); an empty value
+// is refused like any malformed one.
 TEST_F(EnvOverridesTest, RejectsOutOfRangeThreads) {
-  EnvOverrides env;
-  setenv("FAIRMOVE_THREADS", "0", 1);
-  EXPECT_FALSE(env.LoadFromEnv().ok());
-  setenv("FAIRMOVE_THREADS", "5000", 1);
-  EXPECT_FALSE(env.LoadFromEnv().ok());
-  setenv("FAIRMOVE_THREADS", "many", 1);
-  EXPECT_FALSE(env.LoadFromEnv().ok());
-  setenv("FAIRMOVE_THREADS", "8", 1);
-  ASSERT_TRUE(env.LoadFromEnv().ok());
-  EXPECT_EQ(env.threads, 8);
+  for (const char* bad : {"0", "5000", "many", ""}) {
+    const StatusOr<int> threads = ParseThreadCount(bad);
+    ASSERT_FALSE(threads.ok()) << bad;
+    EXPECT_NE(threads.status().message().find("FAIRMOVE_THREADS"),
+              std::string::npos);
+  }
+  const StatusOr<int> eight = ParseThreadCount("8");
+  ASSERT_TRUE(eight.ok());
+  EXPECT_EQ(*eight, 8);
+  const StatusOr<int> unset = ParseThreadCount(nullptr);
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(*unset, 0);
 }
 
 TEST_F(EnvOverridesTest, RejectsEmptyTelemetryDir) {
-  setenv("FAIRMOVE_TELEMETRY", "", 1);
-  EnvOverrides env;
-  const Status s = env.LoadFromEnv();
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.ToString().find("FAIRMOVE_TELEMETRY"), std::string::npos);
-  setenv("FAIRMOVE_TELEMETRY", "/tmp/fairmove-telemetry", 1);
-  ASSERT_TRUE(env.LoadFromEnv().ok());
-  EXPECT_EQ(env.telemetry_dir, "/tmp/fairmove-telemetry");
+  const StatusOr<std::string> empty = ParseTelemetryDir("");
+  ASSERT_FALSE(empty.ok());
+  EXPECT_NE(empty.status().message().find("FAIRMOVE_TELEMETRY"),
+            std::string::npos);
+  const StatusOr<std::string> dir = ParseTelemetryDir("/tmp/fm-telemetry");
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(*dir, "/tmp/fm-telemetry");
+  const StatusOr<std::string> unset = ParseTelemetryDir(nullptr);
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(*unset, "");
+}
+
+TEST_F(EnvOverridesTest, RejectsEmptyOrOutOfRangeStallBudget) {
+  for (const char* bad : {"", "99", "3600001", "soon"}) {
+    const StatusOr<int64_t> budget = ParseStallBudget(bad);
+    ASSERT_FALSE(budget.ok()) << bad;
+    EXPECT_NE(budget.status().message().find("FAIRMOVE_STALL_MS"),
+              std::string::npos);
+  }
+  const StatusOr<int64_t> budget = ParseStallBudget("2000");
+  ASSERT_TRUE(budget.ok());
+  EXPECT_EQ(*budget, 2000);
+  const StatusOr<int64_t> unset = ParseStallBudget(nullptr);
+  ASSERT_TRUE(unset.ok());
+  EXPECT_EQ(*unset, 0);
 }
 
 // FAIRMOVE_PROFILE is parsed by its owner, the profiler (obs/span.h), not

@@ -259,6 +259,8 @@ TEST(ExporterTest, ParseExportSpecAcceptsDirColonPeriod) {
   EXPECT_FALSE(ParseExportSpec(":100").ok());
   EXPECT_FALSE(ParseExportSpec("/tmp/x:5").ok());       // below minimum
   EXPECT_FALSE(ParseExportSpec("/tmp/x:abc").ok());
+  // An empty FAIRMOVE_METRICS_EXPORT is refused, not read as off.
+  EXPECT_FALSE(ParseExportSpec("").ok());
 }
 
 TEST(ExporterTest, PrometheusNameSanitises) {

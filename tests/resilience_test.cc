@@ -22,6 +22,7 @@
 #include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/features.h"
 #include "fairmove/rl/gt_policy.h"
+#include "synthetic_transitions.h"
 
 namespace fairmove {
 namespace {
@@ -492,7 +493,8 @@ TEST(Cma2cDivergenceTest, RiggedNanRewardRollsBackThenGivesUpCleanly) {
   t.reward = kNan;  // poisons the TD target
   t.terminal = true;
   t.region = 0;
-  const std::vector<DisplacementPolicy::Transition> batch(4, t);
+  const TransitionStore batch = RowsOf(
+      system->sim(), static_cast<int>(state.size()), std::vector(4, t));
 
   policy.Update(batch);
   EXPECT_EQ(policy.divergence_guard()->total_rollbacks(), 1);

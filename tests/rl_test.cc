@@ -21,6 +21,7 @@
 #include "fairmove/rl/tba_policy.h"
 #include "fairmove/rl/tql_policy.h"
 #include "fairmove/sim/simulator.h"
+#include "synthetic_transitions.h"
 
 namespace fairmove {
 namespace {
@@ -103,19 +104,32 @@ TEST(FeatureExtractorTest, SocAndFlagsAppearInFeatures) {
 
 // ---------------------------------------------------------- ReplayBuffer --
 
+/// A transition of width 2 over 8 actions whose action index and state
+/// both identify it.
+DisplacementPolicy::Transition Numbered(int i) {
+  DisplacementPolicy::Transition t;
+  t.state = {static_cast<float>(i), 0.0f};
+  t.next_state = {0.0f, static_cast<float>(i)};
+  t.action_index = i;
+  return t;
+}
+
 TEST(ReplayBufferTest, FillsThenWraps) {
-  ReplayBuffer buffer(3);
-  for (int i = 0; i < 5; ++i) {
-    DisplacementPolicy::Transition t;
-    t.action_index = i;
-    buffer.Add(std::move(t));
-  }
+  ReplayBuffer buffer(3, /*dim=*/2, /*num_actions=*/8);
+  for (int i = 0; i < 5; ++i) buffer.Add(Numbered(i));
   EXPECT_EQ(buffer.size(), 3u);
+  // Rows 0 and 1 were overwritten in place by transitions 3 and 4.
+  const TransitionStore& rows = buffer.rows();
+  EXPECT_EQ(rows.scalars(0).action_index, 3);
+  EXPECT_EQ(rows.scalars(1).action_index, 4);
+  EXPECT_EQ(rows.scalars(2).action_index, 2);
+  EXPECT_EQ(rows.states().At(0, 0), 3.0f);
+  EXPECT_EQ(rows.next_states().At(1, 1), 4.0f);
   Rng rng(1);
-  std::vector<const DisplacementPolicy::Transition*> out;
+  std::vector<int> out;
   buffer.Sample(50, rng, &out);
   std::set<int> seen;
-  for (const auto* t : out) seen.insert(t->action_index);
+  for (int row : out) seen.insert(rows.scalars(row).action_index);
   // Oldest two (0, 1) were overwritten.
   EXPECT_EQ(seen.count(0), 0u);
   EXPECT_EQ(seen.count(1), 0u);
@@ -123,13 +137,13 @@ TEST(ReplayBufferTest, FillsThenWraps) {
 }
 
 TEST(ReplayBufferTest, SampleSizeAndClear) {
-  ReplayBuffer buffer(10);
-  DisplacementPolicy::Transition t;
-  buffer.Add(t);
+  ReplayBuffer buffer(10, /*dim=*/2, /*num_actions=*/8);
+  buffer.Add(Numbered(1));
   Rng rng(2);
-  std::vector<const DisplacementPolicy::Transition*> out;
+  std::vector<int> out;
   buffer.Sample(4, rng, &out);
   EXPECT_EQ(out.size(), 4u);
+  for (int row : out) EXPECT_EQ(row, 0);
   buffer.Clear();
   EXPECT_TRUE(buffer.empty());
 }
@@ -305,9 +319,9 @@ TEST(TbaPolicyTest, LocalFeaturesExcludeGlobalState) {
   obs.taxi = 1;
   obs.region = 0;
   obs.soc = 0.5;
-  std::vector<float> f;
-  policy.LocalFeatures(*stack.sim, obs, &f);
-  EXPECT_EQ(static_cast<int>(f.size()), policy.feature_dim());
+  std::vector<float> f(static_cast<size_t>(policy.feature_dim()), -1.0f);
+  policy.LocalFeatures(*stack.sim, obs, f.data());
+  EXPECT_FLOAT_EQ(f.back(), 0.0f);  // may_charge, the last feature
 }
 
 TEST(TbaPolicyTest, ProducesValidActionsAndUpdates) {
@@ -332,10 +346,12 @@ TEST(TbaPolicyTest, BaselineTracksRewards) {
     obs.taxi = 0;
     obs.region = 0;
     obs.soc = 0.9;
-    policy.LocalFeatures(*stack.sim, obs, &t.state);
+    t.state.resize(static_cast<size_t>(policy.feature_dim()));
+    policy.LocalFeatures(*stack.sim, obs, t.state.data());
     t.region = 0;
     t.action_index = 0;
     t.reward_own = 2.0;
+    t.terminal = true;
     batch.push_back(std::move(t));
   }
   policy.Learn(batch);
@@ -367,7 +383,8 @@ TEST(Cma2cPolicyTest, CriticLearnsAConstantTarget) {
   t.action_index = 0;
   t.reward = 3.0;
   t.terminal = true;
-  std::vector<DisplacementPolicy::Transition> batch(64, t);
+  const TransitionStore batch = RowsOf(*stack.sim, features.dim(),
+                                       std::vector(64, t));
   for (int i = 0; i < 150; ++i) policy.Update(batch);
   EXPECT_NEAR(policy.Value(t.state), 3.0, 0.3);
   EXPECT_LT(policy.last_critic_loss(), 0.2);
@@ -412,7 +429,7 @@ TEST(Cma2cPolicyTest, EntropyReportedAfterActorUpdates) {
   t.action_index = 0;
   t.reward = 1.0;
   t.terminal = true;
-  policy.Update(std::vector<DisplacementPolicy::Transition>(32, t));
+  policy.Update(RowsOf(*stack.sim, features.dim(), std::vector(32, t)));
   EXPECT_GT(policy.last_entropy(), 0.0);
 }
 

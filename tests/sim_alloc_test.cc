@@ -4,8 +4,9 @@
 // counting hook on the global operator new — anything that allocates
 // inside the measured window on any thread (std::deque churn, a per-slot
 // std::vector, a logging string, a pool task) fails the test with an exact
-// count. The same hook pins the batched
-// FeatureExtractor::ExtractAll path and warm CMA2C, DQN and TBA updates.
+// count. The contract holds across Simulator::Reset, and the same hook pins
+// the batched FeatureExtractor::ExtractAll path and warm CMA2C, DQN and TBA
+// updates and Learn calls.
 
 #include <gtest/gtest.h>
 
@@ -197,6 +198,31 @@ TEST(SimAllocTest, SteadyStateStepDoesZeroHeapAllocations) {
   SetGlobalThreads(before);
 }
 
+// Training resets the simulator every episode. Reset keeps every container
+// a day grew, the station waiting lines included, so replaying the same day
+// after a Reset allocates nothing, inline and with the phases on the pool.
+TEST(SimAllocTest, SameDayAfterResetDoesZeroHeapAllocations) {
+  const int before = GlobalPool().num_threads();
+  const struct {
+    int lanes;
+    int64_t fork_threshold_ns;
+  } cases[] = {{1, kForkThresholdNs}, {4, kForkThresholdNs}, {4, 0}};
+  for (const auto& c : cases) {
+    SetGlobalThreads(c.lanes);
+    ScopedForkThresholdForTesting threshold(c.fork_threshold_ns);
+    TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+    stack.sim->RunDays(/*policy=*/nullptr, 1);
+    stack.sim->Reset();
+    ScopedAllocCounter counter;
+    stack.sim->RunDays(/*policy=*/nullptr, 1);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "the day after Reset allocated at " << c.lanes
+        << " lanes (fork threshold " << c.fork_threshold_ns << " ns)";
+  }
+  SetGlobalThreads(before);
+}
+
 TEST(SimAllocTest, WarmFeatureExtractionDoesZeroHeapAllocations) {
   TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
   stack.sim->RunDays(/*policy=*/nullptr, 1);
@@ -227,8 +253,9 @@ TEST(SimAllocTest, WarmFeatureExtractionDoesZeroHeapAllocations) {
 // allocates nothing, on the caller or on a pool lane.
 TEST(SimAllocTest, WarmCma2cUpdateDoesZeroHeapAllocations) {
   TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
-  const std::vector<DisplacementPolicy::Transition> batch =
-      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41);
+  const TransitionStore batch =
+      RowsOf(*stack.sim, FeatureExtractor(stack.sim.get()).dim(),
+             SyntheticTransitions(*stack.sim, 3500, /*seed=*/41));
   Cma2cPolicy::Options opt;
   opt.actor_warmup_batches = 0;
   Cma2cPolicy policy(*stack.sim, opt);
@@ -245,7 +272,30 @@ TEST(SimAllocTest, WarmCma2cUpdateDoesZeroHeapAllocations) {
   SetGlobalThreads(before);
 }
 
-// DQN's gradient steps at the default minibatch: the sampled pointers, batch
+// Learn appends the trainer's transitions as rows of the policy's store and,
+// once batch_size are in, runs its update passes on that store: a warm
+// Learn that fills the batch copies no vector and allocates nothing.
+TEST(SimAllocTest, WarmCma2cLearnDoesZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41);
+  Cma2cPolicy::Options opt;
+  opt.actor_warmup_batches = 0;
+  Cma2cPolicy policy(*stack.sim, opt);
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Learn(batch);  // sizes the store and scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Learn(batch);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "a warm Cma2cPolicy::Learn allocated at " << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
+// DQN's gradient steps at the default minibatch: the sampled rows, batch
 // matrices, targets, gradient set and forward workspace are reused. Learn
 // with no new transitions runs the steps alone, without a replay insert.
 TEST(SimAllocTest, WarmDqnGradientStepsDoZeroHeapAllocations) {
@@ -269,16 +319,41 @@ TEST(SimAllocTest, WarmDqnGradientStepsDoZeroHeapAllocations) {
   SetGlobalThreads(before);
 }
 
-// A default TBA update on the paper's 3,500-row batch: the batch matrix,
-// gradient matrix, softmax row and gradient set are reused.
+// Once the replay ring is full, Learn overwrites its oldest rows in place
+// and then takes its gradient steps: nothing is allocated.
+TEST(SimAllocTest, WarmDqnLearnIntoAFullRingDoesZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  DqnPolicy::Options opt;
+  opt.replay_capacity = 512;
+  opt.min_replay = 256;
+  DqnPolicy policy(*stack.sim, opt);
+  policy.Learn(SyntheticTransitions(*stack.sim, 600, /*seed=*/43));
+  ASSERT_EQ(policy.replay_size(), opt.replay_capacity);
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(*stack.sim, 300, /*seed=*/44);
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Learn(batch);  // sizes the scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Learn(batch);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "a warm DqnPolicy::Learn into a full ring allocated at " << lanes
+        << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
+// A default TBA update on the paper's 3,500-row batch of TBA's own width:
+// the gradient matrix, softmax row and gradient set are reused.
 TEST(SimAllocTest, WarmTbaUpdateDoesZeroHeapAllocations) {
   TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
   TbaPolicy policy(*stack.sim);
-  std::vector<DisplacementPolicy::Transition> batch =
-      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41);
-  for (DisplacementPolicy::Transition& t : batch) {
-    t.state.resize(static_cast<size_t>(policy.feature_dim()));
-  }
+  const TransitionStore batch = RowsOf(
+      *stack.sim, policy.feature_dim(),
+      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41,
+                           policy.feature_dim()));
   const int before = GlobalPool().num_threads();
   for (int lanes : {1, 4}) {
     SetGlobalThreads(lanes);
@@ -288,6 +363,25 @@ TEST(SimAllocTest, WarmTbaUpdateDoesZeroHeapAllocations) {
     g_counting.store(false);
     EXPECT_EQ(counter.count(), 0)
         << "a warm TbaPolicy::Update allocated at " << lanes << " lanes";
+  }
+  SetGlobalThreads(before);
+}
+
+TEST(SimAllocTest, WarmTbaLearnDoesZeroHeapAllocations) {
+  TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
+  TbaPolicy policy(*stack.sim);
+  const std::vector<DisplacementPolicy::Transition> batch =
+      SyntheticTransitions(*stack.sim, 3500, /*seed=*/41,
+                           policy.feature_dim());
+  const int before = GlobalPool().num_threads();
+  for (int lanes : {1, 4}) {
+    SetGlobalThreads(lanes);
+    policy.Learn(batch);  // sizes the store and scratch at this lane count
+    ScopedAllocCounter counter;
+    policy.Learn(batch);
+    g_counting.store(false);
+    EXPECT_EQ(counter.count(), 0)
+        << "a warm TbaPolicy::Learn allocated at " << lanes << " lanes";
   }
   SetGlobalThreads(before);
 }

@@ -114,15 +114,13 @@ TEST(ActionTest, ToStringIsReadable) {
 
 TEST(MatchingEngineTest, FifoPerRegion) {
   MatchingEngine engine(3, 2);
-  engine.AddRequest({0, 1, 10});
-  engine.AddRequest({0, 2, 11});
+  engine.AddRequest({0, 10});
+  engine.AddRequest({0, 11});
   EXPECT_EQ(engine.PendingCount(0), 2);
   EXPECT_EQ(engine.TotalPending(), 2);
   const Request first = engine.PopOldest(0);
   EXPECT_EQ(first.origin, 0);
   EXPECT_EQ(first.created_slot, 10);
-  // Destinations are drawn lazily by the server, never stored.
-  EXPECT_EQ(first.dest, kInvalidRegion);
   EXPECT_EQ(engine.PendingCount(0), 1);
   EXPECT_EQ(engine.PopOldest(0).created_slot, 11);
 }
@@ -143,8 +141,8 @@ TEST(MatchingEngineTest, CohortsMergeWithinOneSlot) {
 
 TEST(MatchingEngineTest, ExpiryDropsOnlyStaleRequests) {
   MatchingEngine engine(2, /*patience=*/2);
-  engine.AddRequest({0, 1, 10});
-  engine.AddRequest({0, 1, 12});
+  engine.AddRequest({0, 10});
+  engine.AddRequest({0, 12});
   EXPECT_EQ(engine.ExpireOld(TimeSlot(12)), 0);  // age 2 is still fine
   EXPECT_EQ(engine.ExpireOld(TimeSlot(13)), 1);  // the slot-10 one dies
   EXPECT_EQ(engine.PendingCount(0), 1);
@@ -153,15 +151,15 @@ TEST(MatchingEngineTest, ExpiryDropsOnlyStaleRequests) {
 
 TEST(MatchingEngineTest, ZeroPatienceExpiresNextSlot) {
   MatchingEngine engine(1, 0);
-  engine.AddRequest({0, 0, 5});
+  engine.AddRequest({0, 5});
   EXPECT_EQ(engine.ExpireOld(TimeSlot(5)), 0);
   EXPECT_EQ(engine.ExpireOld(TimeSlot(6)), 1);
 }
 
 TEST(MatchingEngineTest, ClearEmptiesEverything) {
   MatchingEngine engine(2, 2);
-  engine.AddRequest({0, 1, 1});
-  engine.AddRequest({1, 0, 1});
+  engine.AddRequest({0, 1});
+  engine.AddRequest({1, 1});
   engine.Clear();
   EXPECT_EQ(engine.TotalPending(), 0);
   EXPECT_EQ(engine.PendingCount(0), 0);

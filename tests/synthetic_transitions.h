@@ -1,9 +1,10 @@
-// A fixed, seed-determined batch of CMA2C-shaped transitions for tests that
-// drive Cma2cPolicy::Update directly (no simulation episode in between):
-// states of the feature extractor's width, an action that the region's mask
-// allows, every ninth transition terminal with an empty next_state. Built
-// only from Rng::Uniform/NextBounded, so the batch is the same bytes on any
-// host and at any thread count.
+// A fixed, seed-determined batch of transitions for tests that drive a
+// policy's Learn or Update directly (no simulation episode in between):
+// states of a given width (by default the feature extractor's, CMA2C's and
+// DQN's), an action that the region's mask allows, every ninth transition
+// terminal with an empty next_state. Built only from Rng::Uniform and
+// NextBounded, so the batch is the same bytes on any host and at any thread
+// count.
 
 #ifndef FAIRMOVE_TESTS_SYNTHETIC_TRANSITIONS_H_
 #define FAIRMOVE_TESTS_SYNTHETIC_TRANSITIONS_H_
@@ -13,13 +14,13 @@
 
 #include "fairmove/common/rng.h"
 #include "fairmove/rl/features.h"
+#include "fairmove/rl/replay_buffer.h"
 #include "fairmove/sim/simulator.h"
 
 namespace fairmove {
 
 inline std::vector<DisplacementPolicy::Transition> SyntheticTransitions(
-    const Simulator& sim, int n, uint64_t seed) {
-  const int dim = FeatureExtractor(&sim).dim();
+    const Simulator& sim, int n, uint64_t seed, int dim) {
   const ActionSpace& space = sim.action_space();
   Rng rng(seed);
   std::vector<bool> mask;
@@ -54,6 +55,21 @@ inline std::vector<DisplacementPolicy::Transition> SyntheticTransitions(
     }
   }
   return batch;
+}
+
+inline std::vector<DisplacementPolicy::Transition> SyntheticTransitions(
+    const Simulator& sim, int n, uint64_t seed) {
+  return SyntheticTransitions(sim, n, seed, FeatureExtractor(&sim).dim());
+}
+
+// `transitions` as the rows of a store of width `dim` over `sim`'s action
+// space, the batch an Update takes.
+inline TransitionStore RowsOf(
+    const Simulator& sim, int dim,
+    const std::vector<DisplacementPolicy::Transition>& transitions) {
+  TransitionStore rows(dim, sim.action_space().size());
+  for (const DisplacementPolicy::Transition& t : transitions) rows.Append(t);
+  return rows;
 }
 
 }  // namespace fairmove

@@ -12,7 +12,8 @@
 // mismatch exits non-zero.
 //
 // Usage: crash_harness <scratch-dir> [trials]
-//   FAIRMOVE_THREADS is honoured (the CI matrix runs 1 and 4).
+//   FAIRMOVE_THREADS sizes the children's pool as in any binary (the CI
+//   matrix runs 1 and 4).
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -27,8 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "fairmove/common/config.h"
-#include "fairmove/common/parallel.h"
 #include "fairmove/common/rng.h"
 #include "fairmove/core/fairmove.h"
 #include "fairmove/core/metrics.h"
@@ -43,14 +42,6 @@ namespace {
 /// checkpointing, then a fixed-seed evaluation episode; digests of every
 /// acceptance quantity are written atomically to `result_path`.
 int RunChild(const std::string& ckpt_dir, const std::string& result_path) {
-  EnvOverrides env;
-  if (Status s = env.LoadFromEnv(); !s.ok()) {
-    std::fprintf(stderr, "child: bad FAIRMOVE_* environment: %s\n",
-                 s.ToString().c_str());
-    return 1;
-  }
-  if (env.threads != 0) SetGlobalThreads(env.threads);
-
   FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.04);
   cfg.trainer.episodes = 6;
   cfg.trainer.slots_per_episode = 24;
