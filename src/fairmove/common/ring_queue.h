@@ -64,16 +64,6 @@ class RingQueue {
     return buf_[(head_ + i) & mask_];
   }
 
-  /// Removes the element `i` positions behind the front, shifting later
-  /// elements forward (FIFO order of the others is preserved). O(size).
-  void erase_at(size_t i) {
-    FM_CHECK(i < size_);
-    for (size_t j = i + 1; j < size_; ++j) {
-      buf_[(head_ + j - 1) & mask_] = buf_[(head_ + j) & mask_];
-    }
-    --size_;
-  }
-
   /// Empties the queue; capacity (and thus allocation-freeness) is kept.
   void clear() {
     head_ = 0;

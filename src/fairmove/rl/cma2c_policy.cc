@@ -292,7 +292,9 @@ void Cma2cPolicy::Update(const TransitionStore& batch) {
                     pool);
   critic_opt_->Step(critic_grads_);
 
-  if (options_.normalize_advantages && n > 1) {
+  // Advantages are normalised within the batch (variance reduction on top
+  // of the TD baseline).
+  if (n > 1) {
     double mean = 0.0;
     for (double a : advantages_) mean += a;
     mean /= n;
@@ -317,12 +319,6 @@ void Cma2cPolicy::Update(const TransitionStore& batch) {
     }
     return;
   }
-
-  const double entropy_bonus = std::max(
-      options_.entropy_bonus_floor,
-      options_.entropy_bonus *
-          std::pow(options_.entropy_decay,
-                   static_cast<double>(learn_batches_)));
 
   // --- Actor: policy gradient with entropy regularisation (Eq 8).
   actor_->ForwardTape(batch.states(), &actor_tape_, pool);
@@ -353,7 +349,7 @@ void Cma2cPolicy::Update(const TransitionStore& batch) {
       // dL/dlogit = adv*(pi - onehot) + c*pi*(log pi + H)
       double g = adv * (p - (a == t.action_index ? 1.0 : 0.0));
       if (p > 0.0) {
-        g += entropy_bonus * p * (std::log(p) + entropy);
+        g += options_.entropy_bonus * p * (std::log(p) + entropy);
       }
       actor_grad_.At(i, a) = static_cast<float>(g / n);
     }

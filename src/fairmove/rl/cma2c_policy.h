@@ -31,11 +31,8 @@ class Cma2cPolicy : public DisplacementPolicy {
     /// lambda_1 of the paper; Adam as §IV-A.
     double actor_learning_rate = 5e-4;
     double critic_learning_rate = 1e-3;
+    /// Weight of the actor's entropy regulariser (Eq 8).
     double entropy_bonus = 0.02;
-    /// entropy_bonus decays geometrically to this floor as updates
-    /// accumulate (explore early, sharpen late).
-    double entropy_bonus_floor = 0.02;
-    double entropy_decay = 0.97;
     /// Polyak factor of the per-batch soft target-critic update.
     double target_tau = 0.05;
     /// Updates before the actor starts (the critic needs a usable value
@@ -51,9 +48,6 @@ class Cma2cPolicy : public DisplacementPolicy {
     /// while keeping enough stochasticity to load-balance simultaneous
     /// decisions (the coordination mechanism).
     double eval_temperature = 1.0;
-    /// Normalise advantages within each batch (variance reduction on top
-    /// of the TD baseline).
-    bool normalize_advantages = true;
     /// Initial logit bias of the charging actions. Negative so a cold
     /// policy rarely charges voluntarily (drivers' prior); learning can
     /// raise it where charging pays off.

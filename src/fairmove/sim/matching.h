@@ -37,23 +37,11 @@ class MatchingEngine {
   /// (one push per region per slot, however large the Poisson draw).
   void AddRequests(RegionId origin, int count, int64_t created_slot);
 
-  /// Single-request convenience used by tests.
-  void AddRequest(const Request& request) {
-    AddRequests(request.origin, 1, request.created_slot);
-  }
-
   /// Number of requests currently waiting in `region`. O(1): maintained
   /// incrementally, and region-pure — under region-sharded stepping,
   /// concurrent shards touch only their own regions' entries.
   int PendingCount(RegionId region) const {
     return pending_[static_cast<size_t>(region)];
-  }
-
-  /// Computed on demand (O(num_regions)); called only from serial phases.
-  int64_t TotalPending() const {
-    int64_t total = 0;
-    for (const int32_t p : pending_) total += p;
-    return total;
   }
 
   /// Pops the oldest request of `region`; CHECK-fails when empty. The

@@ -344,6 +344,35 @@ void Simulator::RunSharded(void (Simulator::*body)(int)) {
   });
 }
 
+void Simulator::Commit(ShardScratch& outbox) {
+  for (size_t i = 0; i < outbox.charge_events.size(); ++i) {
+    const ChargeEvent& event = outbox.charge_events[i];
+    fleet_.cold[static_cast<size_t>(event.taxi)].last_charge_event =
+        trace_.AddChargeEvent(event);
+    trace_.AddCycle(outbox.cycles[i]);
+  }
+  for (const TripRecord& trip : outbox.trips) trace_.AddTrip(trip);
+  for (const auto& [index, minutes] : outbox.first_cruise) {
+    trace_.SetFirstCruise(index, minutes);
+  }
+  for (const auto& [station, taxi] : outbox.enqueues) {
+    stations_[static_cast<size_t>(station)].Enqueue(taxi);
+  }
+  for (const auto& [due, taxi] : outbox.schedule) ScheduleArrival(taxi, due);
+  for (const FaultEvent& event : outbox.faults) RecordFault(event);
+  total_requests_ += outbox.spawned;
+  total_strandings_ += outbox.strandings;
+  outbox.charge_events.clear();
+  outbox.cycles.clear();
+  outbox.trips.clear();
+  outbox.first_cruise.clear();
+  outbox.enqueues.clear();
+  outbox.schedule.clear();
+  outbox.faults.clear();
+  outbox.spawned = 0;
+  outbox.strandings = 0;
+}
+
 // --- Arrival calendar ------------------------------------------------------
 
 void Simulator::CalendarUnlink(TaxiId taxi) {
@@ -483,21 +512,25 @@ void Simulator::ApplyScheduledFaults() {
     event.magnitude = static_cast<double>(applied);
     RecordFault(event);
     // The grid cut power to occupied points: unplug sessions down to the
-    // new capacity (they end early rather than strand mid-session).
+    // new capacity (they end early rather than strand mid-session). The
+    // loop reads only occupancy, so it commits once.
     if (queue.occupied() > applied) {
       for (TaxiId i = 0; i < fleet_.size(); ++i) {
         if (queue.occupied() <= applied) break;
         if (fleet_.phase[static_cast<size_t>(i)] == TaxiPhase::kCharging &&
             fleet_.cold[static_cast<size_t>(i)].station == s) {
-          FinishChargeSession(i);
+          CloseChargeSession(i, serial_outbox_);
         }
       }
+      Commit(serial_outbox_);
     }
     // A dark station serves nobody: push its waiting line back through the
     // normal balking machinery so the taxis redirect instead of stranding.
+    // Each taxi commits before the next one chooses, so it sees the joins.
     if (applied == 0) {
       for (TaxiId id : queue.DrainWaiting()) {
-        ArriveAtStationOrRenege(id, nullptr);
+        ArriveAtStationOrRenege(id, serial_outbox_);
+        Commit(serial_outbox_);
       }
     }
   }
@@ -551,23 +584,13 @@ void Simulator::ApplyBreakdownHazard() {
 void Simulator::CompleteArrivals() {
   CollectDueArrivals();
   RunSharded(&Simulator::ArrivalsShard);
-  // Ordered commit: queue joins, re-schedules and fault events land in
-  // ascending shard order, then work order — a fixed total order at any
-  // thread count.
-  for (auto& sc : shards_) {
-    for (const auto& [station, taxi] : sc.enqueues) {
-      stations_[static_cast<size_t>(station)].Enqueue(taxi);
-    }
-    for (const auto& [due, taxi] : sc.schedule) ScheduleArrival(taxi, due);
-    for (const FaultEvent& event : sc.faults) RecordFault(event);
-  }
+  // Queue joins, re-bookings and repairs land in ascending shard order,
+  // then work order: a fixed total order at any thread count.
+  for (ShardScratch& sc : shards_) Commit(sc);
 }
 
 void Simulator::ArrivalsShard(int shard) {
   ShardScratch& sc = shards_[static_cast<size_t>(shard)];
-  sc.enqueues.clear();
-  sc.schedule.clear();
-  sc.faults.clear();
   const int64_t now = now_.index;
   for (TaxiId id : sc.work) {
     const size_t k = static_cast<size_t>(id);
@@ -585,7 +608,7 @@ void Simulator::ArrivalsShard(int shard) {
         break;
       }
       case TaxiPhase::kToStation: {
-        ArriveAtStationOrRenege(id, &sc);
+        ArriveAtStationOrRenege(id, sc);
         break;
       }
       case TaxiPhase::kBrokenDown: {
@@ -641,23 +664,13 @@ void Simulator::PlugInShard(int shard) {
 
 void Simulator::AdvanceCharging() {
   RunSharded(&Simulator::ChargeShard);
-  // Ordered commit of the trace events; the charge-event index a taxi
-  // remembers (for the first-cruise back-fill) only exists now.
-  for (auto& sc : shards_) {
-    for (size_t i = 0; i < sc.charge_events.size(); ++i) {
-      const int64_t index = trace_.AddChargeEvent(sc.charge_events[i]);
-      fleet_.cold[static_cast<size_t>(sc.charge_event_taxi[i])]
-          .last_charge_event = index;
-      trace_.AddCycle(sc.cycles[i]);
-    }
-  }
+  // The charge-event index a taxi remembers (for the first-cruise
+  // back-fill) only exists once its shard's events are committed.
+  for (ShardScratch& sc : shards_) Commit(sc);
 }
 
 void Simulator::ChargeShard(int shard) {
   ShardScratch& sc = shards_[static_cast<size_t>(shard)];
-  sc.charge_events.clear();
-  sc.charge_event_taxi.clear();
-  sc.cycles.clear();
   std::vector<TaxiId>& roster = charging_roster_[static_cast<size_t>(shard)];
   for (size_t i = 0; i < roster.size();) {
     const TaxiId id = roster[i];
@@ -676,37 +689,34 @@ void Simulator::ChargeShard(int shard) {
     fleet_.charge_cost_cny[k] += cost;
     slot_profit_[k] -= cost;
     if (fleet_.soc[k] >= cold.charge_target_soc - 1e-9 || minutes <= 0.0) {
-      sc.charge_events.emplace_back();
-      sc.cycles.emplace_back();
-      sc.charge_event_taxi.push_back(id);
       // CloseChargeSession swap-erases roster[i]; whatever lands there is
       // an unvisited taxi, so the index stays put.
-      CloseChargeSession(id, &sc.charge_events.back(), &sc.cycles.back());
+      CloseChargeSession(id, sc);
       continue;
     }
     ++i;
   }
 }
 
-void Simulator::CloseChargeSession(TaxiId taxi, ChargeEvent* event,
-                                   CycleRecord* cycle) {
+void Simulator::CloseChargeSession(TaxiId taxi, ShardScratch& outbox) {
   const size_t k = static_cast<size_t>(taxi);
   TaxiCold& cold = fleet_.cold[k];
-  event->taxi = taxi;
-  event->station = cold.station;
-  event->seek_slot = cold.idle_since;
-  event->plugin_slot = cold.plugged_at;
-  event->finish_slot = now_.index + 1;
+  ChargeEvent& event = outbox.charge_events.emplace_back();
+  event.taxi = taxi;
+  event.station = cold.station;
+  event.seek_slot = cold.idle_since;
+  event.plugin_slot = cold.plugged_at;
+  event.finish_slot = now_.index + 1;
   const int64_t queue_slots =
       cold.plugged_at - cold.idle_since - cold.charge_travel_slots;
-  event->idle_min = static_cast<float>(
+  event.idle_min = static_cast<float>(
       cold.session_travel_min +
       kMinutesPerSlot * std::max<int64_t>(0, queue_slots));
-  event->charge_min = static_cast<float>(cold.session_charge_min);
-  event->kwh = static_cast<float>(cold.session_kwh);
-  event->cost_cny = static_cast<float>(cold.session_cost);
-  event->soc_start = static_cast<float>(cold.session_start_soc);
-  event->soc_end = static_cast<float>(fleet_.soc[k]);
+  event.charge_min = static_cast<float>(cold.session_charge_min);
+  event.kwh = static_cast<float>(cold.session_kwh);
+  event.cost_cny = static_cast<float>(cold.session_cost);
+  event.soc_start = static_cast<float>(cold.session_start_soc);
+  event.soc_end = static_cast<float>(fleet_.soc[k]);
 
   ChargingRosterRemove(taxi);
   stations_[static_cast<size_t>(cold.station)].Release();
@@ -716,23 +726,24 @@ void Simulator::CloseChargeSession(TaxiId taxi, ChargeEvent* event,
   // Close the working cycle t0 -> t5 (paper SII-B): the delta of the
   // taxi's totals since the previous charge completed.
   const TaxiTotals totals = fleet_.Totals(taxi);
-  cycle->taxi = taxi;
-  cycle->start_slot = cold.cycle_start_slot;
-  cycle->end_slot = now_.index + 1;
-  cycle->cruise_min = static_cast<float>(totals.cruise_min -
-                                         cold.cycle_baseline.cruise_min);
-  cycle->serve_min =
+  CycleRecord& cycle = outbox.cycles.emplace_back();
+  cycle.taxi = taxi;
+  cycle.start_slot = cold.cycle_start_slot;
+  cycle.end_slot = now_.index + 1;
+  cycle.cruise_min = static_cast<float>(totals.cruise_min -
+                                        cold.cycle_baseline.cruise_min);
+  cycle.serve_min =
       static_cast<float>(totals.serve_min - cold.cycle_baseline.serve_min);
-  cycle->op_min = cycle->cruise_min + cycle->serve_min;
-  cycle->idle_min =
+  cycle.op_min = cycle.cruise_min + cycle.serve_min;
+  cycle.idle_min =
       static_cast<float>(totals.idle_min - cold.cycle_baseline.idle_min);
-  cycle->charge_min =
+  cycle.charge_min =
       static_cast<float>(totals.charge_min - cold.cycle_baseline.charge_min);
-  cycle->revenue_cny =
+  cycle.revenue_cny =
       static_cast<float>(totals.revenue_cny - cold.cycle_baseline.revenue_cny);
-  cycle->charge_cost_cny = static_cast<float>(
+  cycle.charge_cost_cny = static_cast<float>(
       totals.charge_cost_cny - cold.cycle_baseline.charge_cost_cny);
-  cycle->trips = totals.num_trips - cold.cycle_baseline.num_trips;
+  cycle.trips = totals.num_trips - cold.cycle_baseline.num_trips;
   cold.cycle_baseline = totals;
   cold.cycle_start_slot = now_.index + 1;
   fleet_.phase[k] = TaxiPhase::kCruising;
@@ -740,9 +751,8 @@ void Simulator::CloseChargeSession(TaxiId taxi, ChargeEvent* event,
   cold.vacant_since = now_.index + 1;
   cold.station = kInvalidStation;
   cold.awaiting_first_pickup = true;
-  // Trace index pending: the serial caller assigns it immediately, the
-  // sharded commit assigns it right after the barrier — in both cases
-  // before the taxi can be matched (it is busy until the next slot).
+  // Trace index pending: Commit assigns it, before the taxi can be matched
+  // (it is busy until the next slot).
   cold.last_charge_event = -1;
 }
 
@@ -759,25 +769,15 @@ void Simulator::ChargingRosterRemove(TaxiId taxi) {
   charging_pos_[k] = -1;
 }
 
-void Simulator::FinishChargeSession(TaxiId taxi) {
-  ChargeEvent event;
-  CycleRecord cycle;
-  CloseChargeSession(taxi, &event, &cycle);
-  const int64_t index = trace_.AddChargeEvent(event);
-  trace_.AddCycle(cycle);
-  fleet_.cold[static_cast<size_t>(taxi)].last_charge_event = index;
-}
-
 // --- Demand ----------------------------------------------------------------
 
 void Simulator::SpawnRequests() {
   RunSharded(&Simulator::SpawnShard);
-  for (const auto& sc : shards_) total_requests_ += sc.spawned;
+  for (ShardScratch& sc : shards_) Commit(sc);
 }
 
 void Simulator::SpawnShard(int shard) {
   ShardScratch& sc = shards_[static_cast<size_t>(shard)];
-  sc.spawned = 0;
   const auto [r_begin, r_end] = shard_regions_[static_cast<size_t>(shard)];
   for (RegionId r = r_begin; r < r_end; ++r) {
     double mult = 1.0;
@@ -865,13 +865,7 @@ void Simulator::MatchPassengers() {
   FM_SPAN("sim.match.commit");
   // Trip records and first-cruise back-fills commit in shard order, which
   // for contiguous shard blocks is exactly ascending-region order.
-  for (auto& sc : shards_) {
-    for (const TripRecord& trip : sc.trips) trace_.AddTrip(trip);
-    for (const auto& [index, minutes] : sc.first_cruise) {
-      trace_.SetFirstCruise(index, minutes);
-    }
-    for (const auto& [due, taxi] : sc.schedule) ScheduleArrival(taxi, due);
-  }
+  for (ShardScratch& sc : shards_) Commit(sc);
   if (config_.dispatch_radius_minutes > 0.0) {
     DispatchRemoteMatches(match_pool_, match_offsets_, match_sizes_);
   }
@@ -879,9 +873,6 @@ void Simulator::MatchPassengers() {
 
 void Simulator::MatchShard(int shard) {
   ShardScratch& sc = shards_[static_cast<size_t>(shard)];
-  sc.trips.clear();
-  sc.first_cruise.clear();
-  sc.schedule.clear();
   const auto [r_begin, r_end] = shard_regions_[static_cast<size_t>(shard)];
   for (RegionId r = r_begin; r < r_end; ++r) {
     const int n = match_sizes_[r];
@@ -911,7 +902,7 @@ void Simulator::MatchShard(int shard) {
         if (fleet_.soc[static_cast<size_t>(id)] <= config_.soc_force_charge) {
           continue;
         }
-        BeginServing(id, matching_.PopOldest(r), rng, &sc);
+        BeginServing(id, matching_.PopOldest(r), rng, sc);
       }
       continue;
     }
@@ -949,7 +940,7 @@ void Simulator::MatchShard(int shard) {
           }
           if (win < 0) break;
         }
-        BeginServing(cands[win], matching_.PopOldest(r), rng, &sc);
+        BeginServing(cands[win], matching_.PopOldest(r), rng, sc);
         total -= scores[win];
         scores[win] = 0.0;
       }
@@ -977,7 +968,7 @@ void Simulator::MatchShard(int shard) {
       if (fleet_.soc[static_cast<size_t>(id)] <= config_.soc_force_charge) {
         continue;
       }
-      BeginServing(id, matching_.PopOldest(r), rng, &sc);
+      BeginServing(id, matching_.PopOldest(r), rng, sc);
     }
   }
 }
@@ -989,7 +980,8 @@ void Simulator::DispatchRemoteMatches(TaxiId* pool, const int* offsets,
   // are walked region by region, nearest supply region first, so the
   // assignment approximates a greedy global nearest-dispatch. Candidates
   // pop from the back of each region's CSR slice. Serial: cross-region by
-  // construction, and off in the paper's street-hailing setting.
+  // construction, and off in the paper's street-hailing setting. Nothing
+  // here reads the trace or the calendar, so the pass commits once.
   for (RegionId r = 0; r < city_->num_regions(); ++r) {
     if (matching_.PendingCount(r) == 0) continue;
     for (RegionId src : dispatch_neighbors_[static_cast<size_t>(r)]) {
@@ -1005,15 +997,16 @@ void Simulator::DispatchRemoteMatches(TaxiId* pool, const int* offsets,
         const double pickup_minutes = city_->TravelMinutes(src, r);
         const double pickup_km = city_->DrivingKm(src, r);
         BeginServing(id, matching_.PopOldest(r),
-                     region_rngs_[static_cast<size_t>(r)], nullptr,
+                     region_rngs_[static_cast<size_t>(r)], serial_outbox_,
                      pickup_minutes, pickup_km);
       }
     }
   }
+  Commit(serial_outbox_);
 }
 
 void Simulator::BeginServing(TaxiId taxi, const Request& request, Rng& rng,
-                             ShardScratch* sc, double pickup_minutes,
+                             ShardScratch& outbox, double pickup_minutes,
                              double pickup_km) {
   const size_t k = static_cast<size_t>(taxi);
   TaxiCold& cold = fleet_.cold[k];
@@ -1050,20 +1043,11 @@ void Simulator::BeginServing(TaxiId taxi, const Request& request, Rng& rng,
       pickup_minutes + rng.Uniform(0.0, kMinutesPerSlot);
   trip.cruise_min = static_cast<float>(cruise_min);
   trip.first_after_charge = cold.awaiting_first_pickup;
-  if (sc != nullptr) {
-    sc->trips.push_back(trip);
-  } else {
-    trace_.AddTrip(trip);
-  }
+  outbox.trips.push_back(trip);
 
   if (cold.awaiting_first_pickup) {
-    if (sc != nullptr) {
-      sc->first_cruise.push_back(
-          {cold.last_charge_event, static_cast<float>(cruise_min)});
-    } else {
-      trace_.SetFirstCruise(cold.last_charge_event,
-                            static_cast<float>(cruise_min));
-    }
+    outbox.first_cruise.push_back(
+        {cold.last_charge_event, static_cast<float>(cruise_min)});
     cold.awaiting_first_pickup = false;
     cold.last_charge_event = -1;
   }
@@ -1074,11 +1058,7 @@ void Simulator::BeginServing(TaxiId taxi, const Request& request, Rng& rng,
   cold.pending_fare = fare;
   cold.num_trips += 1;
   cold.km_driven += fleet_.ConsumeKm(taxi, km + 0.5 + pickup_km);
-  if (sc != nullptr) {
-    sc->schedule.push_back({now_.index + busy_slots, taxi});
-  } else {
-    ScheduleArrival(taxi, now_.index + busy_slots);
-  }
+  outbox.schedule.push_back({now_.index + busy_slots, taxi});
 }
 
 // --- Displacement ----------------------------------------------------------
@@ -1180,17 +1160,11 @@ void Simulator::ApplyAction(TaxiId taxi, const Action& action) {
   }
 }
 
-void Simulator::ArriveAtStationOrRenege(TaxiId taxi, ShardScratch* outbox) {
-  // In a shard the join waits in the outbox, so same-slot co-arrivals don't
-  // see each other in the line — the deterministic analogue of drivers
-  // checking the charging app a few minutes before pulling in.
-  auto join_line = [&](StationId s) {
-    if (outbox != nullptr) {
-      outbox->enqueues.push_back({s, taxi});
-    } else {
-      stations_[static_cast<size_t>(s)].Enqueue(taxi);
-    }
-  };
+void Simulator::ArriveAtStationOrRenege(TaxiId taxi, ShardScratch& outbox) {
+  // The join waits in the outbox until Commit, so same-slot co-arrivals in
+  // a shard don't see each other in the line — the deterministic analogue
+  // of drivers checking the charging app a few minutes before pulling in.
+  // A serial caller commits after each arrival, so its next one sees it.
   const size_t k = static_cast<size_t>(taxi);
   TaxiCold& cold = fleet_.cold[k];
   const StationId arrived_at = cold.station;
@@ -1237,21 +1211,17 @@ void Simulator::ArriveAtStationOrRenege(TaxiId taxi, ShardScratch* outbox) {
         fleet_.region[k] = city_->station(best).region;
         fleet_.phase[k] = TaxiPhase::kQueuing;
         fleet_.busy_until[k] = now_.index;
-        join_line(best);
+        outbox.enqueues.push_back({best, taxi});
         return;
       }
       fleet_.phase[k] = TaxiPhase::kToStation;
       fleet_.busy_until[k] = now_.index + travel_slots;
-      if (outbox != nullptr) {
-        outbox->schedule.push_back({fleet_.busy_until[k], taxi});
-      } else {
-        ScheduleArrival(taxi, fleet_.busy_until[k]);
-      }
+      outbox.schedule.push_back({fleet_.busy_until[k], taxi});
       return;
     }
   }
   fleet_.phase[k] = TaxiPhase::kQueuing;
-  join_line(arrived_at);
+  outbox.enqueues.push_back({arrived_at, taxi});
 }
 
 void Simulator::StartChargeTrip(TaxiId taxi, StationId station) {
@@ -1269,9 +1239,11 @@ void Simulator::StartChargeTrip(TaxiId taxi, StationId station) {
   cold.charge_redirects = 0;
   cold.km_driven += fleet_.ConsumeKm(taxi, km);
   if (travel_slots == 0) {
-    // Station in the current region: arrive immediately (may balk).
+    // Station in the current region: arrive immediately (may balk). The
+    // commit lets the next taxi's balk decision see this one's join.
     fleet_.busy_until[k] = now_.index;
-    ArriveAtStationOrRenege(taxi, nullptr);
+    ArriveAtStationOrRenege(taxi, serial_outbox_);
+    Commit(serial_outbox_);
   } else {
     fleet_.phase[k] = TaxiPhase::kToStation;
     fleet_.busy_until[k] = now_.index + travel_slots;
@@ -1289,19 +1261,16 @@ void Simulator::AccountTimeAndStranding() {
   RunSharded(&Simulator::AccountShard);
   PhaseCounts counts;
   counts.slot = now_.index;
-  for (auto& sc : shards_) {
+  for (ShardScratch& sc : shards_) {
     counts.cruising += sc.counts.cruising;
     counts.serving += sc.counts.serving;
     counts.to_station += sc.counts.to_station;
     counts.queuing += sc.counts.queuing;
     counts.charging += sc.counts.charging;
     counts.broken_down += sc.counts.broken_down;
-    total_strandings_ += sc.strandings;
     // Stranding tow-ins: shard order x id order == global ascending id,
     // the historical enqueue order.
-    for (const auto& [station, taxi] : sc.enqueues) {
-      stations_[static_cast<size_t>(station)].Enqueue(taxi);
-    }
+    Commit(sc);
   }
   trace_.RecordPhaseCounts(counts);
   if (fault_schedule_ != nullptr &&
@@ -1315,8 +1284,6 @@ void Simulator::AccountShard(int shard) {
   ShardScratch& sc = shards_[static_cast<size_t>(shard)];
   sc.counts = PhaseCounts{};
   sc.counts.slot = now_.index;
-  sc.strandings = 0;
-  sc.enqueues.clear();
   double pe_sum = 0.0;
   double pe_sum2 = 0.0;
   const auto [t_begin, t_end] = shard_taxis_[static_cast<size_t>(shard)];

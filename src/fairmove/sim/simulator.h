@@ -197,9 +197,6 @@ class Simulator {
   /// Total requests spawned since Reset (served + expired + pending).
   int64_t total_requests() const { return total_requests_; }
 
-  /// Strandings (empty pack outside a charging context) since Reset.
-  int64_t total_strandings() const { return total_strandings_; }
-
   /// Opts this simulator into the per-slot sim.jsonl telemetry stream under
   /// `label` (empty = silent, the default). Only the run's main simulator
   /// should be labelled: the evaluator's replica sims stay silent so the
@@ -214,30 +211,38 @@ class Simulator {
   Simulator(const City* city, const DemandSource* demand,
             const TouTariff& tariff, const SimConfig& config);
 
-  /// Per-shard outboxes: everything a sharded phase wants to do to state
-  /// outside its shard (trace appends, station enqueues in other shards,
-  /// calendar inserts, fault events, reductions) is recorded here and
-  /// committed on the calling thread in ascending shard order — the §7
-  /// determinism contract applied to the simulator. All vectors are
-  /// retained between slots (cleared, never freed) to keep the warm-Step
-  /// zero-allocation contract.
+  /// A shard's arrival work list, its outbox and its accounting sums. The
+  /// outbox holds the effects a shard body has on state outside its shard:
+  /// trace records, station joins, calendar bookings, fault events and the
+  /// request and stranding counts. Shard bodies, and the helpers they share
+  /// with serial code, write that state only by appending to an outbox;
+  /// Commit applies it on the calling thread, shard outboxes in ascending
+  /// shard order (the §7 determinism contract applied to the simulator).
+  /// Commit clears the vectors without freeing them, so a warm Step stays
+  /// allocation-free.
   struct ShardScratch {
-    std::vector<TaxiId> work;  // phase input list, deterministic order
+    std::vector<TaxiId> work;  // arrivals phase input list, ascending id
+    std::vector<ChargeEvent> charge_events;
+    std::vector<CycleRecord> cycles;  // parallel to charge_events
     std::vector<TripRecord> trips;
     std::vector<std::pair<int64_t, float>> first_cruise;  // event idx, min
-    std::vector<ChargeEvent> charge_events;
-    std::vector<TaxiId> charge_event_taxi;  // parallel to charge_events
-    std::vector<CycleRecord> cycles;
     std::vector<std::pair<StationId, TaxiId>> enqueues;
     std::vector<std::pair<int64_t, TaxiId>> schedule;  // due slot, taxi
     std::vector<FaultEvent> faults;
-    PhaseCounts counts;
     int64_t spawned = 0;
     int64_t strandings = 0;
+    PhaseCounts counts;
     double pe_sum = 0.0;
     double pe_sum2 = 0.0;
     int64_t pe_count = 0;
   };
+
+  /// Applies `outbox` and leaves it empty. Kinds land in one fixed order:
+  /// charge events (each one's trace index goes to its taxi, then its cycle
+  /// is added), trips, first-cruise back-fills, station joins, calendar
+  /// bookings, fault events, then the spawned and stranding counts; within
+  /// a kind, in append order.
+  void Commit(ShardScratch& outbox);
 
   // Step phases, in execution order.
   /// Applies schedule transitions for this slot: station capacity changes
@@ -272,8 +277,10 @@ class Simulator {
   void RunSharded(void (Simulator::*body)(int));
 
   /// Inserts `taxi` into the arrival calendar for `due_slot` (clamped to
-  /// the next slot). Serial contexts only; sharded phases go through
-  /// ShardScratch::schedule.
+  /// the next slot). Serial contexts only: Commit, and serial code booking
+  /// a taxi it moves itself (a charge trip's departure, a breakdown, a
+  /// re-book). The helpers shared with shard bodies book through an
+  /// outbox.
   void ScheduleArrival(TaxiId taxi, int64_t due_slot);
   /// Pops this slot's calendar bucket (plus any due far-horizon entries)
   /// into the due bitmap and dispatches them to shard work lists in
@@ -301,27 +308,26 @@ class Simulator {
   void DispatchRemoteMatches(TaxiId* pool, const int* offsets, int* sizes);
   void StartChargeTrip(TaxiId taxi, StationId station);
   /// Arrival at the taxi's target station: join the line, or balk and
-  /// redirect when it is overloaded. The queue join and the re-schedule go
-  /// into `outbox` when given (ArrivalsShard), else straight to the station
-  /// queue and the arrival calendar (fault-drain rerouting, same-region
-  /// charge trips). The balk decision reads the live queues: a serial caller
-  /// sees the joins made earlier in its own loop, and during the arrivals
-  /// phase every join waits in an outbox, so the queues are read-only there
-  /// and every shard reads the same pre-phase loads at any thread count.
-  void ArriveAtStationOrRenege(TaxiId taxi, ShardScratch* outbox);
+  /// redirect when it is overloaded. The queue join or the re-booking goes
+  /// into `outbox`. The balk decision reads the live queues, which only
+  /// Commit changes: during the arrivals phase every join waits in a shard
+  /// outbox, so every shard reads the same pre-phase loads at any thread
+  /// count, and a serial caller (the dark-station drain, a same-region
+  /// charge trip) commits after each arrival, so the next one sees it.
+  void ArriveAtStationOrRenege(TaxiId taxi, ShardScratch& outbox);
+  /// Puts `taxi` on `request`'s trip; the trip record, the first-cruise
+  /// back-fill and the drop-off booking go into `outbox`.
   /// `pickup_minutes`/`pickup_km` cover a remote-dispatch approach leg
   /// (0 for street hails). `rng` is the origin region's stream.
   void BeginServing(TaxiId taxi, const Request& request, Rng& rng,
-                    ShardScratch* sc, double pickup_minutes = 0.0,
+                    ShardScratch& outbox, double pickup_minutes = 0.0,
                     double pickup_km = 0.0);
-  /// Serial charge-session close: direct trace append + index assignment.
-  void FinishChargeSession(TaxiId taxi);
   /// Swap-erases `taxi` from its station shard's charging roster.
   void ChargingRosterRemove(TaxiId taxi);
-  /// Shared session-close bookkeeping: fills the event/cycle records and
-  /// resets the taxi to cruising (does NOT touch the trace).
-  void CloseChargeSession(TaxiId taxi, ChargeEvent* event,
-                          CycleRecord* cycle);
+  /// Ends `taxi`'s charging session: frees its point, resets it to
+  /// cruising, and appends the session's charge event and working cycle to
+  /// `outbox` (Commit gives the taxi the event's trace index).
+  void CloseChargeSession(TaxiId taxi, ShardScratch& outbox);
 
   double RegionSpeedKmh(RegionId r) const {
     return City::ClassSpeedKmh(city_->region(r).cls);
@@ -381,6 +387,9 @@ class Simulator {
   /// passes: accounting, PE stats).
   std::vector<std::pair<TaxiId, TaxiId>> shard_taxis_;
   std::vector<ShardScratch> shards_;
+  /// The outbox of the serial callers of the shared helpers (the fault
+  /// unplug loop and drain, same-region charge trips, remote dispatch).
+  ShardScratch serial_outbox_;
 
   // --- Arrival calendar (event-driven slot advance) ---------------------
   /// Ring of per-slot due buckets, stored as intrusive doubly-linked lists

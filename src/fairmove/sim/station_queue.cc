@@ -38,16 +38,6 @@ void StationQueue::Release() {
   --occupied_;
 }
 
-bool StationQueue::RemoveWaiting(TaxiId taxi) {
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    if (queue_[i] == taxi) {
-      queue_.erase_at(i);
-      return true;
-    }
-  }
-  return false;
-}
-
 void StationQueue::Clear() {
   occupied_ = 0;
   available_points_ = num_points_;

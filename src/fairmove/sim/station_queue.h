@@ -40,10 +40,6 @@ class StationQueue {
   /// Releases one occupied point (a charging session finished).
   void Release();
 
-  /// Removes `taxi` from the waiting line (e.g. reneging); returns whether
-  /// it was present.
-  bool RemoveWaiting(TaxiId taxi);
-
   /// Sets the usable point count (outage/derating/restoration). Occupancy
   /// is untouched — the simulator unplugs sessions down to the new capacity.
   void SetAvailablePoints(int n);

@@ -120,19 +120,6 @@ TEST(RingQueueTest, MatchesDequeThroughMixedChurn) {
   }
 }
 
-TEST(RingQueueTest, EraseAtPreservesFifoOrderOfOthers) {
-  RingQueue<int> ring;
-  // Force a wrapped layout: fill past capacity boundary, pop a few.
-  for (int i = 0; i < 6; ++i) ring.push_back(i);
-  for (int i = 0; i < 4; ++i) ring.pop_front();
-  for (int i = 6; i < 12; ++i) ring.push_back(i);  // wraps an 8-ring
-  // Queue is now 4..11.
-  ring.erase_at(2);  // removes 6
-  ASSERT_EQ(ring.size(), 7u);
-  const int expected[] = {4, 5, 7, 8, 9, 10, 11};
-  for (size_t i = 0; i < 7; ++i) EXPECT_EQ(ring[i], expected[i]);
-}
-
 TEST(RingQueueTest, ClearRetainsCapacity) {
   RingQueue<int> ring;
   for (int i = 0; i < 100; ++i) ring.push_back(i);

@@ -12,6 +12,8 @@
 #include "fairmove/common/rng.h"
 #include "fairmove/core/fairmove.h"
 #include "fairmove/core/metrics.h"
+#include "fairmove/io/binary.h"
+#include "fairmove/obs/jsonl.h"
 #include "fairmove/resilience/fault_schedule.h"
 #include "fairmove/rl/cma2c_policy.h"
 #include "fairmove/rl/features.h"
@@ -206,6 +208,206 @@ TEST(DeterminismTest, ForkRuleKeepsDigestsAtEveryLaneCount) {
     EXPECT_EQ(forked_large.digest, large.digest) << threads << " lanes";
     EXPECT_GT(forked_large.shared_regions, 0) << threads << " lanes";
   }
+}
+
+// ------------------------------ serial paths: golden bytes per version --
+
+// The fault drain, the unplug loop, same-region charge arrivals and remote
+// dispatch run serially between the sharded phases. These golden digests
+// pin each of them in a two-day GT run at scale 0.08, down to every trace
+// record, at 1 lane, 4 lanes inline and 4 lanes forced through the pool, so
+// a change that moves one byte of these paths fails here.
+
+/// CRC-32 over a run's FleetMetrics JSON, every trace record field by
+/// field, and the request totals.
+uint32_t TraceDigest(const Simulator& sim) {
+  JsonObject metrics;
+  AppendFleetMetricsJson(ComputeFleetMetrics(sim), &metrics);
+  BinaryWriter out;
+  out.WriteString(metrics.Str());
+  const Trace& trace = sim.trace();
+  out.WriteU64(trace.trips().size());
+  for (const TripRecord& t : trace.trips()) {
+    out.WriteI32(t.taxi);
+    out.WriteI64(t.pickup_slot);
+    out.WriteI64(t.dropoff_slot);
+    out.WriteI32(t.origin);
+    out.WriteI32(t.dest);
+    out.WriteF32(t.distance_km);
+    out.WriteF32(t.fare_cny);
+    out.WriteF32(t.cruise_min);
+    out.WriteBool(t.first_after_charge);
+  }
+  out.WriteU64(trace.charge_events().size());
+  for (const ChargeEvent& e : trace.charge_events()) {
+    out.WriteI32(e.taxi);
+    out.WriteI32(e.station);
+    out.WriteI64(e.seek_slot);
+    out.WriteI64(e.plugin_slot);
+    out.WriteI64(e.finish_slot);
+    out.WriteF32(e.idle_min);
+    out.WriteF32(e.charge_min);
+    out.WriteF32(e.kwh);
+    out.WriteF32(e.cost_cny);
+    out.WriteF32(e.soc_start);
+    out.WriteF32(e.soc_end);
+    out.WriteF32(e.first_cruise_min);
+  }
+  out.WriteU64(trace.cycles().size());
+  for (const CycleRecord& c : trace.cycles()) {
+    out.WriteI32(c.taxi);
+    out.WriteI64(c.start_slot);
+    out.WriteI64(c.end_slot);
+    out.WriteF32(c.op_min);
+    out.WriteF32(c.cruise_min);
+    out.WriteF32(c.serve_min);
+    out.WriteF32(c.idle_min);
+    out.WriteF32(c.charge_min);
+    out.WriteF32(c.revenue_cny);
+    out.WriteF32(c.charge_cost_cny);
+    out.WriteI32(c.trips);
+  }
+  out.WriteU64(trace.fault_events().size());
+  for (const FaultEvent& f : trace.fault_events()) {
+    out.WriteU8(static_cast<uint8_t>(f.kind));
+    out.WriteI64(f.slot);
+    out.WriteI32(f.subject);
+    out.WriteF64(f.magnitude);
+  }
+  out.WriteU64(trace.phase_counts().size());
+  for (const PhaseCounts& p : trace.phase_counts()) {
+    out.WriteI64(p.slot);
+    out.WriteI32(p.cruising);
+    out.WriteI32(p.serving);
+    out.WriteI32(p.to_station);
+    out.WriteI32(p.queuing);
+    out.WriteI32(p.charging);
+    out.WriteI32(p.broken_down);
+  }
+  out.WriteI64(sim.total_requests());
+  out.WriteI64(trace.expired_requests());
+  return Crc32(out.str());
+}
+
+enum class SerialPath { kNone, kFaults, kDispatch };
+
+// The fault case's schedule: the standard scenario from slot 84, when both
+// of its dark stations have a line of 30-odd taxis to drain. From slot 162,
+// station 0 goes dark with a line of about 40. Station 1 shares its region,
+// so drained taxis join its line one at a time, each seeing the joins
+// before it, until its load sends others elsewhere. Station 2 drops to half
+// its points then, while more than half of them are plugged in. Breakdowns
+// in between get repairs that outlast the arrival calendar's ring.
+constexpr int64_t kDarkFrom = 84;
+constexpr int64_t kLateFrom = 162;
+constexpr StationId kLateDarkStation = 0;
+constexpr StationId kDeratedStation = 2;
+constexpr int kLongRepairSlots = 1100;
+
+/// What a pinned run reached, so a pin cannot pass by skipping its path.
+struct PinnedRun {
+  uint32_t digest = 0;
+  int64_t trips = 0;
+  uint32_t fault_kinds = 0;  // bit per FaultKind seen in the trace
+  int drained = 0;           // taxis waiting at stations as they go dark
+  int unplugged = 0;         // sessions above a derated station's capacity
+  int64_t long_repairs = 0;  // breakdowns booked past the calendar ring
+};
+
+PinnedRun RunPinnedDays(SerialPath path, int threads,
+                        int64_t threshold_ns = kForkThresholdNs) {
+  SetGlobalThreads(threads);
+  PinnedRun out;
+  {
+    ScopedForkThresholdForTesting threshold(threshold_ns);
+    FairMoveConfig cfg = FairMoveConfig::FullShenzhen().Scaled(0.08);
+    cfg.sim.seed = 1;
+    if (path == SerialPath::kDispatch) cfg.sim.dispatch_radius_minutes = 15;
+    auto system = std::move(FairMoveSystem::Create(cfg)).value();
+    Simulator& sim = system->sim();
+    FaultSchedule faults = StandardOutageScenario(system->city(), kDarkFrom);
+    faults.AddStationOutage(kLateDarkStation, kLateFrom, kLateFrom + 36);
+    faults.AddStationOutage(kDeratedStation, kLateFrom, kLateFrom + 36,
+                            /*capacity_factor=*/0.5);
+    faults.AddBreakdownHazard(/*from_slot=*/130, /*until_slot=*/150,
+                              /*per_slot_prob=*/0.002, kLongRepairSlots);
+    if (path == SerialPath::kFaults) {
+      EXPECT_EQ(system->city().station(kLateDarkStation).region,
+                system->city().station(1).region);
+      EXPECT_TRUE(sim.SetFaultSchedule(&faults).ok());
+    }
+    sim.Reset();
+    GtPolicy policy;
+    // What the outages starting at the current slot find.
+    const auto note_outages_starting_now = [&] {
+      for (const StationOutage& outage : faults.station_outages()) {
+        if (outage.from_slot != sim.now().index) continue;
+        const StationQueue& queue = sim.station_queue(outage.station);
+        if (outage.capacity_factor == 0.0) {
+          out.drained += queue.waiting();
+        } else {
+          out.unplugged +=
+              queue.occupied() -
+              static_cast<int>(queue.num_points() * outage.capacity_factor);
+        }
+      }
+    };
+    sim.RunSlots(&policy, kDarkFrom);
+    note_outages_starting_now();
+    sim.RunSlots(&policy, kLateFrom - kDarkFrom);
+    note_outages_starting_now();
+    sim.RunSlots(&policy, 2 * kSlotsPerDay - kLateFrom);
+    out.digest = TraceDigest(sim);
+    out.trips = sim.trace().total_trips();
+    for (const FaultEvent& f : sim.trace().fault_events()) {
+      out.fault_kinds |= 1u << static_cast<int>(f.kind);
+      if (f.kind == FaultKind::kBreakdown &&
+          f.magnitude == static_cast<double>(kLongRepairSlots)) {
+        ++out.long_repairs;
+      }
+    }
+    EXPECT_TRUE(sim.SetFaultSchedule(nullptr).ok());
+  }
+  SetGlobalThreads(1);
+  return out;
+}
+
+/// Runs `path` at 1 lane, 4 lanes and 4 lanes forced through the pool;
+/// each digest must equal `golden`. Returns the 1-lane run.
+PinnedRun ExpectGoldenAtEveryLaneCount(SerialPath path, uint32_t golden) {
+  const PinnedRun one = RunPinnedDays(path, 1);
+  EXPECT_EQ(one.digest, golden) << "1 lane";
+  EXPECT_EQ(RunPinnedDays(path, 4).digest, golden) << "4 lanes";
+  EXPECT_EQ(RunPinnedDays(path, 4, /*threshold_ns=*/0).digest, golden)
+      << "4 lanes forced through the pool";
+  return one;
+}
+
+TEST(DeterminismTest, GtTwoDaysAreGolden) {
+  const PinnedRun run =
+      ExpectGoldenAtEveryLaneCount(SerialPath::kNone, 0xA2770FB8u);
+  EXPECT_GT(run.trips, 0);
+  EXPECT_EQ(run.fault_kinds, 0u);
+}
+
+TEST(DeterminismTest, FaultPathsAreGolden) {
+  const PinnedRun run =
+      ExpectGoldenAtEveryLaneCount(SerialPath::kFaults, 0xFC35AB75u);
+  // Every fault kind, real lines drained (one of them into a same-region
+  // station), sessions unplugged down to the derated capacity, and repairs
+  // booked past the ring.
+  const uint32_t every_kind =
+      (2u << static_cast<int>(FaultKind::kRepaired)) - 1;
+  EXPECT_EQ(run.fault_kinds, every_kind);
+  EXPECT_GT(run.drained, 60);
+  EXPECT_GT(run.unplugged, 0);
+  EXPECT_GT(run.long_repairs, 0);
+}
+
+TEST(DeterminismTest, RemoteDispatchIsGolden) {
+  const PinnedRun run =
+      ExpectGoldenAtEveryLaneCount(SerialPath::kDispatch, 0x0F302E8Cu);
+  EXPECT_GT(run.trips, RunPinnedDays(SerialPath::kNone, 1).trips);
 }
 
 TEST(DeterminismTest, FeatureVectorsAreDeterministic) {

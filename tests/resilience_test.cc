@@ -210,6 +210,51 @@ class ResilienceSimTest : public ::testing::Test {
     return fp;
   }
 
+  /// Runs a 12-slot breakdown hazard with `repair_slots`-slot repairs until
+  /// every repair is done; each broken-down taxi must rejoin exactly
+  /// `repair_slots` after its breakdown, and the trace, the per-taxi counts
+  /// and the fleet metrics must agree on how many broke down.
+  void ExpectBreakdownsAccountedAndRepairedOnTime(int repair_slots) {
+    SCOPED_TRACE(::testing::Message() << repair_slots << "-slot repairs");
+    FaultSchedule schedule;
+    schedule.AddBreakdownHazard(6, 18, 0.2, repair_slots);
+    Simulator& sim = system_->sim();
+    ASSERT_TRUE(sim.SetFaultSchedule(&schedule).ok());
+    sim.Reset(5);
+    GtPolicy policy;
+    sim.RunSlots(&policy, 60 + repair_slots);  // every repair is done
+    const Trace& trace = sim.trace();
+    ASSERT_GT(trace.total_breakdowns(), 0);
+    const FleetState& fleet = sim.fleet();
+    std::vector<int64_t> broken_at(static_cast<size_t>(fleet.size()), -1);
+    int64_t breakdown_events = 0;
+    int64_t repaired_events = 0;
+    for (const FaultEvent& e : trace.fault_events()) {
+      int64_t& since = broken_at[static_cast<size_t>(e.subject)];
+      if (e.kind == FaultKind::kBreakdown) {
+        ++breakdown_events;
+        EXPECT_EQ(since, -1) << "taxi " << e.subject << " broke down twice";
+        since = e.slot;
+      } else if (e.kind == FaultKind::kRepaired) {
+        ++repaired_events;
+        EXPECT_EQ(e.slot, since + repair_slots) << "taxi " << e.subject;
+        since = -1;
+      }
+    }
+    EXPECT_EQ(breakdown_events, trace.total_breakdowns());
+    EXPECT_EQ(repaired_events, breakdown_events);
+    int64_t per_taxi = 0;
+    for (TaxiId id = 0; id < fleet.size(); ++id) {
+      per_taxi += fleet.cold[static_cast<size_t>(id)].num_breakdowns;
+      EXPECT_NE(fleet.phase[static_cast<size_t>(id)], TaxiPhase::kBrokenDown);
+    }
+    EXPECT_EQ(per_taxi, trace.total_breakdowns());
+    const FleetMetrics m = ComputeFleetMetrics(sim);
+    EXPECT_EQ(m.breakdowns, trace.total_breakdowns());
+    EXPECT_GT(m.fault_events, 0);
+    ASSERT_TRUE(sim.SetFaultSchedule(nullptr).ok());
+  }
+
   std::unique_ptr<FairMoveSystem> system_;
 };
 
@@ -325,34 +370,11 @@ TEST_F(ResilienceSimTest, FullDerateKeepsStationFeaturesFiniteAndSaturated) {
 }
 
 TEST_F(ResilienceSimTest, BreakdownsAreAccountedAndTaxisRejoin) {
-  FaultSchedule schedule;
-  schedule.AddBreakdownHazard(6, 18, 0.2, 3);
-  Simulator& sim = system_->sim();
-  ASSERT_TRUE(sim.SetFaultSchedule(&schedule).ok());
-  sim.Reset(5);
-  GtPolicy policy;
-  sim.RunSlots(&policy, 60);  // hazard long over, repairs complete
-  const Trace& trace = sim.trace();
-  ASSERT_GT(trace.total_breakdowns(), 0);
-  int64_t breakdown_events = 0;
-  int64_t repaired_events = 0;
-  for (const FaultEvent& e : trace.fault_events()) {
-    if (e.kind == FaultKind::kBreakdown) ++breakdown_events;
-    if (e.kind == FaultKind::kRepaired) ++repaired_events;
+  // 1,100-slot repairs are booked past the arrival calendar's 1,024-slot
+  // ring and move back into it once they come within its reach.
+  for (const int repair_slots : {3, 1100}) {
+    ExpectBreakdownsAccountedAndRepairedOnTime(repair_slots);
   }
-  EXPECT_EQ(breakdown_events, trace.total_breakdowns());
-  EXPECT_EQ(repaired_events, breakdown_events);
-  int64_t per_taxi = 0;
-  const FleetState& fleet = sim.fleet();
-  for (TaxiId id = 0; id < fleet.size(); ++id) {
-    per_taxi += fleet.cold[static_cast<size_t>(id)].num_breakdowns;
-    EXPECT_NE(fleet.phase[static_cast<size_t>(id)], TaxiPhase::kBrokenDown);
-  }
-  EXPECT_EQ(per_taxi, trace.total_breakdowns());
-  const FleetMetrics m = ComputeFleetMetrics(sim);
-  EXPECT_EQ(m.breakdowns, trace.total_breakdowns());
-  EXPECT_GT(m.fault_events, 0);
-  ASSERT_TRUE(sim.SetFaultSchedule(nullptr).ok());
 }
 
 TEST_F(ResilienceSimTest, ChaosEpisodeCompletesUnderEveryShippedPolicy) {

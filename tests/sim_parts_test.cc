@@ -114,10 +114,10 @@ TEST(ActionTest, ToStringIsReadable) {
 
 TEST(MatchingEngineTest, FifoPerRegion) {
   MatchingEngine engine(3, 2);
-  engine.AddRequest({0, 10});
-  engine.AddRequest({0, 11});
+  engine.AddRequests(0, 1, 10);
+  engine.AddRequests(0, 1, 11);
   EXPECT_EQ(engine.PendingCount(0), 2);
-  EXPECT_EQ(engine.TotalPending(), 2);
+  EXPECT_EQ(engine.PendingCount(1), 0);
   const Request first = engine.PopOldest(0);
   EXPECT_EQ(first.origin, 0);
   EXPECT_EQ(first.created_slot, 10);
@@ -131,7 +131,7 @@ TEST(MatchingEngineTest, CohortsMergeWithinOneSlot) {
   engine.AddRequests(1, 3, 7);  // same slot: merges into one cohort
   engine.AddRequests(1, 2, 8);
   EXPECT_EQ(engine.PendingCount(1), 10);
-  EXPECT_EQ(engine.TotalPending(), 10);
+  EXPECT_EQ(engine.PendingCount(0), 0);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(engine.PopOldest(1).created_slot, 7);
   }
@@ -141,27 +141,26 @@ TEST(MatchingEngineTest, CohortsMergeWithinOneSlot) {
 
 TEST(MatchingEngineTest, ExpiryDropsOnlyStaleRequests) {
   MatchingEngine engine(2, /*patience=*/2);
-  engine.AddRequest({0, 10});
-  engine.AddRequest({0, 12});
+  engine.AddRequests(0, 1, 10);
+  engine.AddRequests(0, 1, 12);
   EXPECT_EQ(engine.ExpireOld(TimeSlot(12)), 0);  // age 2 is still fine
   EXPECT_EQ(engine.ExpireOld(TimeSlot(13)), 1);  // the slot-10 one dies
   EXPECT_EQ(engine.PendingCount(0), 1);
-  EXPECT_EQ(engine.TotalPending(), 1);
+  EXPECT_EQ(engine.PendingCount(1), 0);
 }
 
 TEST(MatchingEngineTest, ZeroPatienceExpiresNextSlot) {
   MatchingEngine engine(1, 0);
-  engine.AddRequest({0, 5});
+  engine.AddRequests(0, 1, 5);
   EXPECT_EQ(engine.ExpireOld(TimeSlot(5)), 0);
   EXPECT_EQ(engine.ExpireOld(TimeSlot(6)), 1);
 }
 
 TEST(MatchingEngineTest, ClearEmptiesEverything) {
   MatchingEngine engine(2, 2);
-  engine.AddRequest({0, 1});
-  engine.AddRequest({1, 1});
+  engine.AddRequests(0, 1, 1);
+  engine.AddRequests(1, 1, 1);
   engine.Clear();
-  EXPECT_EQ(engine.TotalPending(), 0);
   EXPECT_EQ(engine.PendingCount(0), 0);
   EXPECT_EQ(engine.PendingCount(1), 0);
 }
@@ -187,15 +186,6 @@ TEST(StationQueueTest, PlugInReleasesLifecycle) {
   EXPECT_TRUE(q.CanPlugIn());
   EXPECT_EQ(q.PlugInNext(), 9);
   EXPECT_EQ(q.waiting(), 0);
-}
-
-TEST(StationQueueTest, RemoveWaiting) {
-  StationQueue q(1);
-  q.Enqueue(1);
-  q.Enqueue(2);
-  EXPECT_TRUE(q.RemoveWaiting(2));
-  EXPECT_FALSE(q.RemoveWaiting(2));
-  EXPECT_EQ(q.waiting(), 1);
 }
 
 TEST(StationQueueTest, ClearResets) {
