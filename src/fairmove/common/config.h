@@ -34,9 +34,8 @@ namespace fairmove {
 ///                        obs/exporter.h)
 ///   FAIRMOVE_STALL_MS  — stall watchdog budget in ms, [100, 3600000]
 ///                        (ParseStallBudget, obs/watchdog.h)
-/// The flight recorder reads FAIRMOVE_FLIGHT ("0" disables it),
-/// FAIRMOVE_FLIGHT_EVENTS (per-thread ring capacity) and
-/// FAIRMOVE_FLIGHT_DUMP_DIR itself (obs/flight_recorder.h).
+/// FAIRMOVE_FLIGHT_DUMP_DIR, the flight recorder's crash-dump directory, is
+/// read by Telemetry (obs/telemetry.cc).
 struct EnvOverrides {
   double scale = 1.0;
   int episodes = 0;

@@ -92,13 +92,6 @@ class Rng {
     return static_cast<uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  int64_t UniformInt(int64_t lo, int64_t hi) {
-    FM_CHECK(lo <= hi);
-    return lo + static_cast<int64_t>(
-                    NextBounded(static_cast<uint64_t>(hi - lo) + 1));
-  }
-
   /// Bernoulli trial with success probability p.
   bool Bernoulli(double p) { return NextDouble() < p; }
 
@@ -176,10 +169,6 @@ class Rng {
     }
     return weights.size() - 1;
   }
-
-  /// Derives an independent child generator; used to give each subsystem its
-  /// own stream without coupling their consumption order.
-  Rng Fork() { return Rng(NextU64() ^ 0xD1B54A32D192ED03ULL); }
 
   /// Full generator state — the four xoshiro words plus the Box-Muller
   /// cache. Save/RestoreState round-trips the stream bit-identically

@@ -53,11 +53,6 @@ inline TimeSlot operator+(TimeSlot t, int64_t slots) {
   return TimeSlot(t.index + slots);
 }
 
-/// Minutes between the starts of two slots (b - a).
-inline int64_t MinutesBetween(TimeSlot a, TimeSlot b) {
-  return (b.index - a.index) * kMinutesPerSlot;
-}
-
 /// Converts a duration in minutes to whole slots, rounding up (a trip that
 /// takes any part of a slot occupies that slot).
 inline int64_t MinutesToSlotsCeil(double minutes) {

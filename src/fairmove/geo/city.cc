@@ -19,14 +19,12 @@ City::City(std::vector<Region> regions, std::vector<ChargingStation> stations)
     FM_CHECK(regions_[static_cast<size_t>(i)].id == i)
         << "region ids must be dense and ordered";
   }
-  stations_in_region_.assign(regions_.size(), {});
   for (int s = 0; s < num_stations(); ++s) {
     const ChargingStation& st = stations_[static_cast<size_t>(s)];
     FM_CHECK(st.id == s) << "station ids must be dense and ordered";
     FM_CHECK(st.region >= 0 && st.region < num_regions())
         << "station " << s << " in unknown region " << st.region;
     FM_CHECK(st.num_points > 0) << "station " << s << " has no points";
-    stations_in_region_[static_cast<size_t>(st.region)].push_back(st.id);
     total_charge_points_ += st.num_points;
   }
   for (const Region& r : regions_) {

@@ -88,11 +88,6 @@ class City {
     return nearest_stations_.at(static_cast<size_t>(id));
   }
 
-  /// Stations located in region `id` (possibly empty).
-  const std::vector<StationId>& StationsInRegion(RegionId id) const {
-    return stations_in_region_.at(static_cast<size_t>(id));
-  }
-
   /// Total number of charging points across all stations.
   int total_charge_points() const { return total_charge_points_; }
 
@@ -131,7 +126,6 @@ class City {
   // Minutes duplicated densely for TravelMinutesRow (1MB at 491 regions).
   std::vector<float> minutes_only_;
   std::vector<std::vector<StationId>> nearest_stations_;
-  std::vector<std::vector<StationId>> stations_in_region_;
   int total_charge_points_ = 0;
   int max_neighbors_ = 0;
   // Coarse spatial hash over region centroids (NearestRegion).

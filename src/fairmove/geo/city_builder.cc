@@ -34,6 +34,51 @@ double StationWeight(RegionClass cls) {
   return 1.0;
 }
 
+/// Labels every usable (uncarved) cell with its connected component in the
+/// 8-neighbourhood, numbered in row-major order of the components' first
+/// cells; carved cells get -1. `sizes` receives each component's cell count.
+std::vector<std::vector<int>> LabelComponents(
+    const std::vector<std::vector<bool>>& carved, std::vector<int>* sizes) {
+  const int rows = static_cast<int>(carved.size());
+  const int cols = static_cast<int>(carved[0].size());
+  std::vector<std::vector<int>> label(
+      static_cast<size_t>(rows),
+      std::vector<int>(static_cast<size_t>(cols), -1));
+  sizes->clear();
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      if (carved[static_cast<size_t>(r)][static_cast<size_t>(c)] ||
+          label[static_cast<size_t>(r)][static_cast<size_t>(c)] >= 0) {
+        continue;
+      }
+      const int id = static_cast<int>(sizes->size());
+      std::vector<std::pair<int, int>> frontier{{r, c}};
+      label[static_cast<size_t>(r)][static_cast<size_t>(c)] = id;
+      int size = 0;
+      while (!frontier.empty()) {
+        const auto [fr, fc] = frontier.back();
+        frontier.pop_back();
+        ++size;
+        for (int dr = -1; dr <= 1; ++dr) {
+          for (int dc = -1; dc <= 1; ++dc) {
+            const int nr = fr + dr, nc = fc + dc;
+            if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
+            if (carved[static_cast<size_t>(nr)][static_cast<size_t>(nc)] ||
+                label[static_cast<size_t>(nr)][static_cast<size_t>(nc)] >=
+                    0) {
+              continue;
+            }
+            label[static_cast<size_t>(nr)][static_cast<size_t>(nc)] = id;
+            frontier.emplace_back(nr, nc);
+          }
+        }
+      }
+      sizes->push_back(size);
+    }
+  }
+  return label;
+}
+
 }  // namespace
 
 CityConfig CityConfig::Scaled(double scale) const {
@@ -97,44 +142,10 @@ StatusOr<City> CityBuilder::Build() const {
       static_cast<size_t>(rows), std::vector<bool>(static_cast<size_t>(cols),
                                                    false));
   if (cfg.obstacle_fraction > 0.0) {
-    // Largest connected usable component (8-neighbourhood), for the
-    // rollback check below.
-    auto largest_component = [&]() {
-      std::vector<std::vector<bool>> seen(
-          static_cast<size_t>(rows),
-          std::vector<bool>(static_cast<size_t>(cols), false));
-      int best = 0;
-      for (int r = 0; r < rows; ++r) {
-        for (int c = 0; c < cols; ++c) {
-          if (carved[static_cast<size_t>(r)][static_cast<size_t>(c)] ||
-              seen[static_cast<size_t>(r)][static_cast<size_t>(c)]) {
-            continue;
-          }
-          std::vector<std::pair<int, int>> frontier{{r, c}};
-          seen[static_cast<size_t>(r)][static_cast<size_t>(c)] = true;
-          int size = 0;
-          while (!frontier.empty()) {
-            const auto [fr, fc] = frontier.back();
-            frontier.pop_back();
-            ++size;
-            for (int dr = -1; dr <= 1; ++dr) {
-              for (int dc = -1; dc <= 1; ++dc) {
-                const int nr = fr + dr, nc = fc + dc;
-                if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
-                if (carved[static_cast<size_t>(nr)]
-                          [static_cast<size_t>(nc)] ||
-                    seen[static_cast<size_t>(nr)][static_cast<size_t>(nc)]) {
-                  continue;
-                }
-                seen[static_cast<size_t>(nr)][static_cast<size_t>(nc)] = true;
-                frontier.emplace_back(nr, nc);
-              }
-            }
-          }
-          best = std::max(best, size);
-        }
-      }
-      return best;
+    std::vector<int> sizes;
+    const auto largest_component = [&] {
+      LabelComponents(carved, &sizes);
+      return sizes.empty() ? 0 : *std::max_element(sizes.begin(), sizes.end());
     };
 
     // Carve blob by blob; a blob that would split the city or leave fewer
@@ -179,66 +190,15 @@ StatusOr<City> CityBuilder::Build() const {
           "obstacle_fraction carves the city below num_regions usable "
           "connected cells; lower it or enlarge the city");
     }
-    // Mark everything outside the largest component as carved so the
-    // published City invariant (full connectivity) holds. Flood once more
-    // from a usable cell of the largest component: simplest is to carve
-    // all cells not reachable from the first usable cell if that cell's
-    // component is the largest; since all kept blobs preserve the bound,
-    // any remaining minor components are smaller than num_regions and can
-    // be carved away greedily.
-    {
-      std::vector<std::vector<int>> comp(
-          static_cast<size_t>(rows),
-          std::vector<int>(static_cast<size_t>(cols), -1));
-      int num_components = 0;
-      std::vector<int> component_size;
-      for (int r = 0; r < rows; ++r) {
-        for (int c = 0; c < cols; ++c) {
-          if (carved[static_cast<size_t>(r)][static_cast<size_t>(c)] ||
-              comp[static_cast<size_t>(r)][static_cast<size_t>(c)] >= 0) {
-            continue;
-          }
-          std::vector<std::pair<int, int>> frontier{{r, c}};
-          comp[static_cast<size_t>(r)][static_cast<size_t>(c)] =
-              num_components;
-          int size = 0;
-          while (!frontier.empty()) {
-            const auto [fr, fc] = frontier.back();
-            frontier.pop_back();
-            ++size;
-            for (int dr = -1; dr <= 1; ++dr) {
-              for (int dc = -1; dc <= 1; ++dc) {
-                const int nr = fr + dr, nc = fc + dc;
-                if (nr < 0 || nr >= rows || nc < 0 || nc >= cols) continue;
-                if (carved[static_cast<size_t>(nr)]
-                          [static_cast<size_t>(nc)] ||
-                    comp[static_cast<size_t>(nr)][static_cast<size_t>(nc)] >=
-                        0) {
-                  continue;
-                }
-                comp[static_cast<size_t>(nr)][static_cast<size_t>(nc)] =
-                    num_components;
-                frontier.emplace_back(nr, nc);
-              }
-            }
-          }
-          component_size.push_back(size);
-          ++num_components;
-        }
-      }
-      int best = 0;
-      for (int i = 1; i < num_components; ++i) {
-        if (component_size[static_cast<size_t>(i)] >
-            component_size[static_cast<size_t>(best)]) {
-          best = i;
-        }
-      }
-      for (int r = 0; r < rows; ++r) {
-        for (int c = 0; c < cols; ++c) {
-          if (!carved[static_cast<size_t>(r)][static_cast<size_t>(c)] &&
-              comp[static_cast<size_t>(r)][static_cast<size_t>(c)] != best) {
-            carved[static_cast<size_t>(r)][static_cast<size_t>(c)] = true;
-          }
+    // Carve every cell outside the first of the largest components, so the
+    // published City invariant (full connectivity) holds.
+    const std::vector<std::vector<int>> label = LabelComponents(carved, &sizes);
+    const int best = static_cast<int>(
+        std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        if (label[static_cast<size_t>(r)][static_cast<size_t>(c)] != best) {
+          carved[static_cast<size_t>(r)][static_cast<size_t>(c)] = true;
         }
       }
     }

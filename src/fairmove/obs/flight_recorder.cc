@@ -8,11 +8,9 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
-#include "fairmove/common/config.h"
 #include "fairmove/common/macros.h"
 #include "fairmove/io/atomic_file.h"
 #include "fairmove/io/binary.h"
@@ -25,9 +23,11 @@ constexpr char kMagic[6] = {'F', 'M', 'F', 'R', '1', '\n'};
 constexpr uint16_t kVersion = 1;
 constexpr int kMaxRings = 256;
 constexpr int kMaxNames = 512;
-constexpr uint32_t kMinCapacity = 256;
+/// Events per thread ring; a power of two, so the ring index is a mask.
+constexpr uint32_t kRingCapacity = 4096;
+static_assert((kRingCapacity & (kRingCapacity - 1)) == 0);
+/// Bound on a ring section of a dump read back from a file.
 constexpr uint32_t kMaxCapacity = 1u << 20;
-constexpr uint32_t kDefaultCapacity = 4096;
 
 /// One ring slot: a FlightEvent packed into three relaxed atomic words
 /// (w0 = t_ns, w1 = name_id | kind<<16 | reserved<<24 | arg0<<32,
@@ -70,8 +70,7 @@ FlightEvent LoadSlot(const FlightSlot& slot) {
 /// `head` with acquire and the slots below it. Leaked on thread exit so a
 /// crash dump can still see the history of finished threads.
 struct FlightRing {
-  uint32_t tid = 0;       // registry lane
-  uint32_t capacity = 0;  // power of two
+  uint32_t tid = 0;  // registry lane
   std::atomic<uint64_t> head{0};
   FlightSlot* events = nullptr;
 };
@@ -83,40 +82,16 @@ const char* g_names[kMaxNames];
 std::atomic<int> g_num_names{1};  // id 0 reserved for overflow
 std::mutex g_intern_mu;
 
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> flag([] {
-    const char* v = std::getenv("FAIRMOVE_FLIGHT");
-    return v == nullptr || std::strcmp(v, "0") != 0;
-  }());
-  return flag;
-}
-
-uint32_t RingCapacity() {
-  static const uint32_t capacity = [] {
-    uint32_t cap = kDefaultCapacity;
-    if (const char* v = std::getenv("FAIRMOVE_FLIGHT_EVENTS")) {
-      const StatusOr<int64_t> parsed = ParseInt(v);
-      FM_CHECK(parsed.ok() && *parsed >= static_cast<int64_t>(kMinCapacity) &&
-               *parsed <= static_cast<int64_t>(kMaxCapacity))
-          << "FAIRMOVE_FLIGHT_EVENTS must be an integer in ["
-          << kMinCapacity << ", " << kMaxCapacity << "], got '" << v << "'";
-      cap = static_cast<uint32_t>(*parsed);
-    }
-    // Round up to a power of two so the ring index is a mask.
-    uint32_t pow2 = kMinCapacity;
-    while (pow2 < cap) pow2 <<= 1;
-    return pow2;
-  }();
-  return capacity;
-}
+/// Constant-initialised, so spans opened during static initialisation see
+/// the recorder on.
+std::atomic<bool> g_enabled{true};
 
 FlightRing* RegisterRing() {
   const int lane = g_num_rings.fetch_add(1, std::memory_order_relaxed);
   if (lane >= kMaxRings) return nullptr;  // >256 threads: drop, don't crash
   auto* ring = new FlightRing();
   ring->tid = static_cast<uint32_t>(lane);
-  ring->capacity = RingCapacity();
-  ring->events = new FlightSlot[ring->capacity]();
+  ring->events = new FlightSlot[kRingCapacity]();
   g_rings[lane].store(ring, std::memory_order_release);
   return ring;
 }
@@ -226,11 +201,11 @@ void DumpToSink(DumpSink* sink) {
     const FlightRing* ring = g_rings[i].load(std::memory_order_acquire);
     if (ring == nullptr) continue;
     const uint64_t head = ring->head.load(std::memory_order_acquire);
-    const uint64_t stored = std::min<uint64_t>(head, ring->capacity);
+    const uint64_t stored = std::min<uint64_t>(head, kRingCapacity);
     sink->U32(ring->tid);
     sink->U64(head);
     sink->U32(static_cast<uint32_t>(stored));
-    const uint64_t mask = ring->capacity - 1;
+    const uint64_t mask = kRingCapacity - 1;
     for (uint64_t s = head - stored; s < head; ++s) {
       sink->Event(LoadSlot(ring->events[s & mask]));
     }
@@ -273,11 +248,11 @@ void CrashSignalHandler(int sig, siginfo_t* /*info*/, void* /*ctx*/) {
 }  // namespace
 
 bool FlightRecorder::enabled() {
-  return EnabledFlag().load(std::memory_order_relaxed);
+  return g_enabled.load(std::memory_order_relaxed);
 }
 
 void FlightRecorder::SetEnabled(bool on) {
-  EnabledFlag().store(on, std::memory_order_relaxed);
+  g_enabled.store(on, std::memory_order_relaxed);
 }
 
 uint16_t FlightRecorder::InternName(const char* name) {
@@ -306,7 +281,7 @@ void FlightRecorder::Record(uint8_t kind, uint16_t name_id, int32_t arg0,
   FlightRing* ring = LocalRing();
   if (ring == nullptr) return;
   const uint64_t head = ring->head.load(std::memory_order_relaxed);
-  StoreSlot(&ring->events[head & (ring->capacity - 1)], NowNs(), name_id,
+  StoreSlot(&ring->events[head & (kRingCapacity - 1)], NowNs(), name_id,
             kind, arg0, arg1);
   ring->head.store(head + 1, std::memory_order_release);
 }

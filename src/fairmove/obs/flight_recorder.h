@@ -43,7 +43,7 @@ enum FlightEventKind : uint8_t {
 /// state (determinism contract, DESIGN.md §8).
 class FlightRecorder {
  public:
-  /// On unless FAIRMOVE_FLIGHT=0 in the environment.
+  /// On from process start; tests switch it with SetEnabled.
   static bool enabled();
   static void SetEnabled(bool on);
 

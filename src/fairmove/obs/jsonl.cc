@@ -3,41 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <set>
 
 #include "fairmove/obs/json_parse.h"
 
 namespace fairmove {
-
-namespace {
-
-/// Registry of open writers for the exit/abort flush path. Leaked for the
-/// usual static-destruction-order reason; writers deregister in Close().
-std::mutex g_writers_mu;
-std::set<JsonlWriter*>* g_open_writers = nullptr;
-
-void RegisterWriter(JsonlWriter* writer) {
-  std::lock_guard<std::mutex> lock(g_writers_mu);
-  if (g_open_writers == nullptr) g_open_writers = new std::set<JsonlWriter*>();
-  g_open_writers->insert(writer);
-}
-
-void UnregisterWriter(JsonlWriter* writer) {
-  std::lock_guard<std::mutex> lock(g_writers_mu);
-  if (g_open_writers != nullptr) g_open_writers->erase(writer);
-}
-
-void ArmExitFlush() {
-  static const bool armed = [] {
-    std::atexit(&JsonlWriter::FlushAllOpen);
-    internal::RegisterFailHook(&JsonlWriter::FlushAllOpen);
-    return true;
-  }();
-  (void)armed;
-}
-
-}  // namespace
 
 std::string JsonEscape(const std::string& text) {
   std::string out;
@@ -156,23 +125,11 @@ std::string JsonArray::Str() const {
 
 JsonlWriter::~JsonlWriter() { Close(); }
 
-void JsonlWriter::FlushAllOpen() {
-  std::lock_guard<std::mutex> lock(g_writers_mu);
-  if (g_open_writers == nullptr) return;
-  for (JsonlWriter* writer : *g_open_writers) {
-    std::unique_lock<std::mutex> writer_lock(writer->mu_, std::try_to_lock);
-    if (!writer_lock.owns_lock()) continue;  // held by a (crashed?) thread
-    if (writer->out_.is_open()) writer->out_.flush();
-  }
-}
-
 Status JsonlWriter::Open(const std::string& path) {
-  ArmExitFlush();
   std::lock_guard<std::mutex> lock(mu_);
   out_.open(path, std::ios::out | std::ios::trunc);
   if (!out_) return Status::IOError("cannot open for write: " + path);
   path_ = path;
-  RegisterWriter(this);
   return Status::OK();
 }
 
@@ -182,7 +139,6 @@ bool JsonlWriter::is_open() const {
 }
 
 void JsonlWriter::Close() {
-  UnregisterWriter(this);
   std::lock_guard<std::mutex> lock(mu_);
   if (out_.is_open()) out_.close();
   path_.clear();

@@ -60,28 +60,18 @@ class JsonArray {
 };
 
 /// Append-only JSONL stream: one JsonObject per line. Write() is
-/// thread-safe (whole lines are appended under a mutex, then flushed, so a
-/// crash loses at most the in-flight row) — concurrently written rows are
-/// each intact but their file order is whatever the threads raced to, which
-/// is why every telemetry row carries its own identifying keys.
-///
-/// Every open writer is tracked in a process-wide registry; the first
-/// Open() arms an atexit handler and an FM_CHECK fail hook that call
-/// FlushAllOpen(), so rows buffered in stream state at abort/exit time
-/// still reach the kernel. (SIGKILL needs no such help: each completed
-/// Write() already flushed its line.)
+/// thread-safe: whole lines are appended under a mutex, and each row is
+/// flushed as it is written, so nothing is left buffered between Writes and
+/// an abort, exit or SIGKILL loses at most the in-flight row. Concurrently
+/// written rows are each intact but their file order is whatever the
+/// threads raced to, which is why every telemetry row carries its own
+/// identifying keys.
 class JsonlWriter {
  public:
   JsonlWriter() = default;
   ~JsonlWriter();
   JsonlWriter(const JsonlWriter&) = delete;
   JsonlWriter& operator=(const JsonlWriter&) = delete;
-
-  /// Best-effort flush of every registered open writer. Uses try_lock per
-  /// writer so a crashing thread that died holding a writer mutex cannot
-  /// deadlock the fail hook; that writer's stream was last flushed at its
-  /// previous completed Write(), which is the strongest guarantee available.
-  static void FlushAllOpen();
 
   /// Opens (truncates) `path` for writing.
   Status Open(const std::string& path);

@@ -44,17 +44,6 @@ TouTariff TouTariff::Shenzhen() {
   return TouTariff(p);
 }
 
-StatusOr<TouTariff> TouTariff::FromHourlyPeriods(
-    const std::array<PricePeriod, kHoursPerDay>& periods) {
-  for (PricePeriod p : periods) {
-    if (p != PricePeriod::kOffPeak && p != PricePeriod::kFlat &&
-        p != PricePeriod::kPeak) {
-      return Status::InvalidArgument("invalid price period value");
-    }
-  }
-  return TouTariff(periods);
-}
-
 int TouTariff::HoursIn(PricePeriod p) const {
   int n = 0;
   for (PricePeriod q : periods_) n += (q == p) ? 1 : 0;

@@ -3,7 +3,6 @@
 
 #include <array>
 
-#include "fairmove/common/status.h"
 #include "fairmove/common/time_types.h"
 
 namespace fairmove {
@@ -31,10 +30,6 @@ class TouTariff {
  public:
   /// The Fig-2 schedule.
   static TouTariff Shenzhen();
-
-  /// A custom per-hour schedule with the standard three rates.
-  static StatusOr<TouTariff> FromHourlyPeriods(
-      const std::array<PricePeriod, kHoursPerDay>& periods);
 
   /// Price period in effect during `slot`.
   PricePeriod PeriodAt(TimeSlot slot) const {

@@ -206,6 +206,16 @@ void Simulator::Reset(uint64_t seed_override) {
   vacant_count_.assign(static_cast<size_t>(city_->num_regions()), 0);
   slot_profit_.assign(static_cast<size_t>(fleet_.size()), 0.0);
   decisions_.clear();
+  const size_t regions = static_cast<size_t>(city_->num_regions());
+  const size_t taxis = static_cast<size_t>(fleet_.size());
+  match_sizes_.resize(regions);
+  match_offsets_.resize(regions + 1);
+  match_fill_.resize(regions);
+  match_vacant_ids_.resize(taxis);
+  match_vacant_regions_.resize(taxis);
+  match_pool_.resize(taxis);
+  match_scores_.resize(taxis);
+  match_order_.resize(taxis);
 
   // Region shard plan: a fixed number of contiguous region blocks,
   // independent of the thread count (more threads never changes which
@@ -803,26 +813,22 @@ void Simulator::SpawnShard(int shard) {
 // --- Matching --------------------------------------------------------------
 
 void Simulator::MatchPassengers() {
-  // All matching scratch lives in the step arena: CSR candidate arrays
-  // instead of a vector-of-vectors, so the per-slot inner loop performs
-  // zero heap allocations once the arena is warm. The serial pass lays the
-  // candidates out; the sharded pass runs each region's hailing lottery on
-  // its own slice (disjoint writes) with the region's own stream.
-  step_arena_.Reset();
+  // CSR candidate arrays instead of a vector-of-vectors, in members sized at
+  // Reset, so the phase performs zero heap allocations. The serial pass
+  // lays the candidates out; the sharded pass runs each region's hailing
+  // lottery on its own slice (disjoint writes) with the region's own stream.
   const int num_regions = city_->num_regions();
   {
     FM_SPAN("sim.match.csr");
     const int64_t now = now_.index;
-    int* sizes = step_arena_.AllocArrayZeroed<int>(
-        static_cast<size_t>(num_regions));
+    std::fill(match_sizes_.begin(), match_sizes_.end(), 0);
+    int* sizes = match_sizes_.data();
     const int n_taxis = fleet_.size();
     // One pass over the fleet columns records each vacant taxi and its
     // region; the placement pass below then reads this compact stream
     // instead of re-scanning phase/busy_until/region.
-    TaxiId* vacant_ids =
-        step_arena_.AllocArray<TaxiId>(static_cast<size_t>(n_taxis));
-    int16_t* vacant_regions =
-        step_arena_.AllocArray<int16_t>(static_cast<size_t>(n_taxis));
+    TaxiId* vacant_ids = match_vacant_ids_.data();
+    int16_t* vacant_regions = match_vacant_regions_.data();
     int total_vacant = 0;
     for (TaxiId i = 0; i < n_taxis; ++i) {
       if (fleet_.IsVacant(i, now)) {
@@ -833,16 +839,14 @@ void Simulator::MatchPassengers() {
         ++total_vacant;
       }
     }
-    int* offsets =
-        step_arena_.AllocArray<int>(static_cast<size_t>(num_regions) + 1);
+    int* offsets = match_offsets_.data();
     offsets[0] = 0;
     for (int r = 0; r < num_regions; ++r) {
       offsets[r + 1] = offsets[r] + sizes[r];
     }
-    TaxiId* pool =
-        step_arena_.AllocArray<TaxiId>(static_cast<size_t>(total_vacant));
-    int* fill = step_arena_.AllocArrayZeroed<int>(
-        static_cast<size_t>(num_regions));
+    std::fill(match_fill_.begin(), match_fill_.end(), 0);
+    int* fill = match_fill_.data();
+    TaxiId* pool = match_pool_.data();
     // Fill in taxi-id order: region r's slice pool[offsets[r], offsets[r+1])
     // holds its vacant taxis by ascending id (region-local FIFO on both
     // sides, longest-vacant first).
@@ -850,13 +854,6 @@ void Simulator::MatchPassengers() {
       const int r = vacant_regions[v];
       pool[offsets[r] + fill[r]++] = vacant_ids[v];
     }
-    match_pool_ = pool;
-    match_offsets_ = offsets;
-    match_sizes_ = sizes;
-    match_scores_ =
-        step_arena_.AllocArray<double>(static_cast<size_t>(total_vacant));
-    match_order_ =
-        step_arena_.AllocArray<int>(static_cast<size_t>(total_vacant));
   }
   {
     FM_SPAN("sim.match.lottery");
@@ -867,7 +864,7 @@ void Simulator::MatchPassengers() {
   // for contiguous shard blocks is exactly ascending-region order.
   for (ShardScratch& sc : shards_) Commit(sc);
   if (config_.dispatch_radius_minutes > 0.0) {
-    DispatchRemoteMatches(match_pool_, match_offsets_, match_sizes_);
+    DispatchRemoteMatches();
   }
 }
 
@@ -877,9 +874,9 @@ void Simulator::MatchShard(int shard) {
   for (RegionId r = r_begin; r < r_end; ++r) {
     const int n = match_sizes_[r];
     if (n == 0 || matching_.PendingCount(r) == 0) continue;
-    TaxiId* cands = match_pool_ + match_offsets_[r];
-    double* scores = match_scores_ + match_offsets_[r];
-    int* order = match_order_ + match_offsets_[r];
+    TaxiId* cands = match_pool_.data() + match_offsets_[r];
+    double* scores = match_scores_.data() + match_offsets_[r];
+    int* order = match_order_.data() + match_offsets_[r];
     Rng& rng = region_rngs_[static_cast<size_t>(r)];
     const int pending = matching_.PendingCount(r);
     // A nearly empty pack cannot take a trip; it is left for the policy's
@@ -973,8 +970,7 @@ void Simulator::MatchShard(int shard) {
   }
 }
 
-void Simulator::DispatchRemoteMatches(TaxiId* pool, const int* offsets,
-                                      int* sizes) {
+void Simulator::DispatchRemoteMatches() {
   // Centralized e-hailing pass (SV generalisation): leftover requests are
   // offered to the nearest still-vacant taxi within the radius. Requests
   // are walked region by region, nearest supply region first, so the
@@ -986,8 +982,8 @@ void Simulator::DispatchRemoteMatches(TaxiId* pool, const int* offsets,
     if (matching_.PendingCount(r) == 0) continue;
     for (RegionId src : dispatch_neighbors_[static_cast<size_t>(r)]) {
       if (matching_.PendingCount(r) == 0) break;
-      TaxiId* cands = pool + offsets[src];
-      int& remaining = sizes[src];
+      const TaxiId* cands = match_pool_.data() + match_offsets_[src];
+      int& remaining = match_sizes_[src];
       while (remaining > 0 && matching_.PendingCount(r) > 0) {
         const TaxiId id = cands[--remaining];
         if (!fleet_.IsVacant(id, now_.index) ||

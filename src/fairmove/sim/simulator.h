@@ -1,11 +1,11 @@
 #ifndef FAIRMOVE_SIM_SIMULATOR_H_
 #define FAIRMOVE_SIM_SIMULATOR_H_
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
-#include "fairmove/common/arena.h"
 #include "fairmove/common/rng.h"
 #include "fairmove/common/stats.h"
 #include "fairmove/common/status.h"
@@ -301,11 +301,10 @@ class Simulator {
 
   void ApplyAction(TaxiId taxi, const Action& action);
   /// Second matching pass in dispatch mode: assigns remaining requests to
-  /// vacant taxis within the dispatch radius. `pool`/`offsets`/`sizes` is
-  /// the CSR candidate layout MatchPassengers built in the step arena:
-  /// region r's still-poppable candidates are pool[offsets[r],
-  /// offsets[r] + sizes[r]).
-  void DispatchRemoteMatches(TaxiId* pool, const int* offsets, int* sizes);
+  /// vacant taxis within the dispatch radius, popping them from the back of
+  /// the lottery's CSR slices (region r's still-poppable candidates are
+  /// match_pool_[match_offsets_[r], match_offsets_[r] + match_sizes_[r])).
+  void DispatchRemoteMatches();
   void StartChargeTrip(TaxiId taxi, StationId station);
   /// Arrival at the taxi's target station: join the line, or balk and
   /// redirect when it is overloaded. The queue join or the re-booking goes
@@ -363,10 +362,6 @@ class Simulator {
   std::vector<Decision> decisions_;    // this step
   std::vector<TaxiObs> vacant_obs_;    // scratch
   std::vector<Action> actions_;        // scratch
-  /// Per-slot scratch (matching CSR arrays, lottery scores). Reset at the
-  /// top of MatchPassengers; blocks are retained, so steady-state Steps do
-  /// zero heap allocation (pinned by sim_alloc_test).
-  Arena step_arena_;
 
   // --- Region shard plan (fixed per city; see DESIGN.md §11) ------------
   int num_shards_ = 1;
@@ -416,13 +411,18 @@ class Simulator {
   /// Unlinks `taxi` from its ring bucket if it is linked there.
   void CalendarUnlink(TaxiId taxi);
 
-  // CSR matching state shared between MatchPassengers and MatchShard
-  // (arena-owned, valid during the phase only).
-  TaxiId* match_pool_ = nullptr;
-  const int* match_offsets_ = nullptr;
-  int* match_sizes_ = nullptr;
-  double* match_scores_ = nullptr;
-  int* match_order_ = nullptr;
+  // Match scratch, sized at Reset: the fleet and the region count are fixed
+  // between Resets, so MatchPassengers never allocates. Region r's vacant
+  // taxis are match_pool_[match_offsets_[r], match_offsets_[r] +
+  // match_sizes_[r]) by ascending id; scores and ranks share the slice.
+  std::vector<int> match_sizes_;                // per region
+  std::vector<int> match_offsets_;              // per region, plus the total
+  std::vector<int> match_fill_;                 // per region
+  std::vector<TaxiId> match_vacant_ids_;        // per taxi
+  std::vector<int16_t> match_vacant_regions_;   // per taxi
+  std::vector<TaxiId> match_pool_;              // per taxi
+  std::vector<double> match_scores_;            // per taxi
+  std::vector<int> match_order_;                // per taxi
 
   double fleet_mean_pe_ = 0.0;
   double fleet_pe_variance_ = 0.0;

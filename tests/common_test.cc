@@ -139,8 +139,6 @@ TEST(TimeSlotTest, ArithmeticAndComparison) {
   EXPECT_EQ((t + 5).index, 15);
   EXPECT_EQ(t.Next().index, 11);
   EXPECT_LT(t, t.Next());
-  EXPECT_EQ(MinutesBetween(TimeSlot(3), TimeSlot(9)), 60);
-  EXPECT_EQ(MinutesBetween(TimeSlot(9), TimeSlot(3)), -60);
 }
 
 TEST(TimeSlotTest, MinutesToSlotsCeil) {

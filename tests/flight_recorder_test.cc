@@ -598,8 +598,9 @@ TEST(CrashDumpTest, AbortedChildLeavesDumpTraceAndFlushedJsonl) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: arm crash capture, stream a few telemetry rows, leave a span
-    // open mid-"episode", then fail an FM_CHECK. The fail hooks must flush
-    // the JSONL stream and write the flight dump before abort re-raises.
+    // open mid-"episode", then fail an FM_CHECK. Each Write already flushed
+    // its row; the fail hook must write the flight dump before abort
+    // re-raises.
     FlightRecorder::SetEnabled(true);
     FlightRecorder::SetCrashDumpDir(dir);
     JsonlWriter writer;

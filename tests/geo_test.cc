@@ -174,17 +174,6 @@ TEST_F(BuiltCityTest, NearestStationsSortedByTravelTime) {
   }
 }
 
-TEST_F(BuiltCityTest, StationsInRegionConsistentWithStationList) {
-  int total = 0;
-  for (RegionId r = 0; r < city_->num_regions(); ++r) {
-    for (StationId s : city_->StationsInRegion(r)) {
-      EXPECT_EQ(city_->station(s).region, r);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, city_->num_stations());
-}
-
 TEST_F(BuiltCityTest, StepTowardReducesDistance) {
   const RegionId from = 0;
   const RegionId to = city_->num_regions() - 1;

@@ -62,14 +62,6 @@ TEST(TouTariffTest, PeriodRepeatsDaily) {
   }
 }
 
-TEST(TouTariffTest, CustomScheduleValidates) {
-  std::array<PricePeriod, kHoursPerDay> periods{};
-  periods.fill(PricePeriod::kFlat);
-  auto tariff_or = TouTariff::FromHourlyPeriods(periods);
-  ASSERT_TRUE(tariff_or.ok());
-  EXPECT_EQ(tariff_or->HoursIn(PricePeriod::kFlat), kHoursPerDay);
-}
-
 TEST(TouTariffTest, PeriodNames) {
   EXPECT_STREQ(PricePeriodName(PricePeriod::kOffPeak), "off-peak");
   EXPECT_STREQ(PricePeriodName(PricePeriod::kPeak), "peak");

@@ -1,6 +1,6 @@
-// Pins the Simulator::Step zero-allocation contract: once the arena, ring
-// queues and reusable vectors are warm, a steady-state step must not touch
-// the heap at all, at one pool lane or four. The proof is a binary-wide
+// Pins the Simulator::Step zero-allocation contract: once the ring queues
+// and reusable vectors are warm, a steady-state step must not touch the
+// heap at all, at one pool lane or four. The proof is a binary-wide
 // counting hook on the global operator new — anything that allocates
 // inside the measured window on any thread (std::deque churn, a per-slot
 // std::vector, a logging string, a pool task) fails the test with an exact
@@ -142,7 +142,7 @@ class ScopedAllocCounter {
 std::vector<int64_t> WarmDayAllocationCounts() {
   TestStack stack = MakeStack(/*num_taxis=*/300, /*seed=*/77);
   // Warm-up: the first days take every container past its high-water mark
-  // (morning demand peaks, charge queues, the step arena). Daily demand
+  // (morning demand peaks, charge queues, shard outboxes). Daily demand
   // draws differ, so a later day can still push a request ring past its
   // all-time high-water and trigger one doubling — that growth converges
   // geometrically, which is exactly what the test asserts: within a few

@@ -11,7 +11,9 @@
 #include "fairmove/core/experiment.h"
 #include "fairmove/core/group_fairness.h"
 #include "fairmove/data/analysis.h"
+#include "fairmove/geo/city_builder.h"
 #include "fairmove/geo/geojson.h"
+#include "fairmove/io/binary.h"
 #include "fairmove/rl/dqn_policy.h"
 #include "fairmove/rl/gt_policy.h"
 
@@ -139,6 +141,49 @@ TEST(TerrainTest, RejectsExcessiveCarving) {
   CityConfig cfg = CityConfig{}.Scaled(0.1);
   cfg.obstacle_fraction = 0.55;
   EXPECT_FALSE(CityBuilder(cfg).Build().ok());
+}
+
+/// CRC-32 over every region's grid cell, centroid, class and neighbour list
+/// and every station's region and point count.
+uint32_t CityLayoutDigest(const City& city) {
+  BinaryWriter out;
+  for (const Region& r : city.regions()) {
+    out.WriteI32(r.grid_row);
+    out.WriteI32(r.grid_col);
+    out.WriteF64(r.centroid_km.x);
+    out.WriteF64(r.centroid_km.y);
+    out.WriteU8(static_cast<uint8_t>(r.cls));
+    out.WriteU64(r.neighbors.size());
+    for (RegionId n : r.neighbors) out.WriteI32(n);
+  }
+  for (const ChargingStation& s : city.stations()) {
+    out.WriteI32(s.region);
+    out.WriteI32(s.num_points);
+  }
+  return Crc32(out.str());
+}
+
+// Pins the carver's output. The first city rolls back 12 blobs that would
+// have split it and then carves 7 cells of minor components away; the
+// second rolls back one blob and carves 2 minor cells.
+TEST(TerrainTest, CarvedCityIsGolden) {
+  const struct {
+    double scale;
+    double obstacle_fraction;
+    uint64_t seed;
+    uint32_t crc;
+  } cases[] = {{0.2, 0.4, CityConfig{}.seed, 0xfdb0af22u},
+               {0.1, 0.3, 7, 0x562b07f0u}};
+  for (const auto& c : cases) {
+    CityConfig cfg = CityConfig{}.Scaled(c.scale);
+    cfg.obstacle_fraction = c.obstacle_fraction;
+    cfg.seed = c.seed;
+    auto city_or = CityBuilder(cfg).Build();
+    ASSERT_TRUE(city_or.ok()) << city_or.status();
+    EXPECT_EQ(CityLayoutDigest(city_or.value()), c.crc)
+        << "scale " << c.scale << ", obstacle_fraction "
+        << c.obstacle_fraction << ", seed " << c.seed;
+  }
 }
 
 // -------------------------------------------------- Station utilization --
